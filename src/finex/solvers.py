@@ -3,7 +3,8 @@
 Both are written against numpy arrays and nothing else, so every
 optimality or accuracy claim made by the higher-level modules can be
 traced to code in this file.  The simplex returns a full primal/dual
-certificate pair; the eigensolver returns a complete orthonormal
+certificate pair, and certificate_residuals checks any such pair, whichever
+solver produced it; the eigensolver returns a complete orthonormal
 decomposition with its reconstruction residual.
 """
 
@@ -342,6 +343,20 @@ def simplex_solve(
     y[flip] *= -1  # undo the row orientation
 
     optimum = float(lp.objective @ x)
+    residuals = certificate_residuals(lp, x, y)
+    if not within_tolerances(residuals, tol):
+        return rerun_exact(f"residuals {residuals}")
+    return SimplexResult(OPTIMAL, optimum, x, y, iterations, residuals)
+
+
+def certificate_residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> dict:
+    """Residuals of a primal/dual pair against the exact LP data.
+
+    primal: ||a x - b||_inf; dual: the largest reduced cost on a
+    non-negative column, or |reduced cost| on a free one (clipped at 0);
+    complementary_slackness: max |x_j * reduced_cost_j|.  A pair within
+    tolerance on all three is optimal, whatever algorithm produced it.
+    """
     reduced = lp.objective - y @ lp.a
     dual_violation = float(
         max(
@@ -349,18 +364,19 @@ def simplex_solve(
             np.abs(reduced[lp.free]).max(initial=0.0),
         )
     )
-    residuals = {
+    return {
         "primal": float(np.abs(lp.a @ x - lp.b).max(initial=0.0)),
         "dual": max(dual_violation, 0.0),
         "complementary_slackness": float(np.abs(x * reduced).max(initial=0.0)),
     }
-    if (
-        residuals["primal"] > tol.primal_feasibility
-        or residuals["dual"] > tol.dual_feasibility
-        or residuals["complementary_slackness"] > tol.complementary_slackness
-    ):
-        return rerun_exact(f"residuals {residuals}")
-    return SimplexResult(OPTIMAL, optimum, x, y, iterations, residuals)
+
+
+def within_tolerances(residuals: dict, tolerances: Tolerances) -> bool:
+    return (
+        residuals["primal"] <= tolerances.primal_feasibility
+        and residuals["dual"] <= tolerances.dual_feasibility
+        and residuals["complementary_slackness"] <= tolerances.complementary_slackness
+    )
 
 
 @dataclass

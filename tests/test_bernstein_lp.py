@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finex.bernstein_lp import assemble, dump, lower_bound_lp, solve_lp
-from finex.errors import DomainError
+from finex.errors import DomainError, SolverFailure
 from finex.exchangeable import oracle_bound
 from finex.multiindex import compositions, rank
 from finex.polynomial import (
@@ -13,8 +13,10 @@ from finex.polynomial import (
     evaluate,
     homogenize,
     monomial,
+    sum_of_squares,
     two_face_witness,
 )
+from finex.solvers import OPTIMAL, simplex_solve
 
 
 def row_as_dict(cone_lp, row_index):
@@ -92,6 +94,62 @@ class TestAssembly:
     def test_rejects_short_sequence(self):
         with pytest.raises(DomainError):
             assemble(two_face_witness(), 1)
+
+
+class TestStructuralBasis:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_u_block_is_unit_lower_triangular_by_reduced_degree(self, d):
+        # the solver's basis: column i has 1 in row i and every other
+        # non-zero in a row of strictly higher reduced degree
+        for s in range(7):
+            cone_lp = assemble(constant(1.0, d), s)
+            m = len(cone_lp.u_columns)
+            block = cone_lp.lp.a[:, :m]
+            level = np.array([sum(e) for e in cone_lp.rows])
+            assert np.all(np.diag(block) == 1.0)
+            rows, cols = np.nonzero(block)
+            off = rows != cols
+            assert np.all(level[rows[off]] > level[cols[off]])
+
+    def test_matches_general_simplex_on_random_cone_lps(self):
+        rng = np.random.default_rng(1234)
+        for _ in range(20):
+            d = int(rng.integers(1, 4))
+            g = SimplexPolynomial(
+                d, 2, {n: float(rng.uniform(-1, 1)) for n in compositions(2, d)}
+            )
+            cone_lp = assemble(g, int(rng.integers(2, 6)))
+            reference = simplex_solve(cone_lp.lp)
+            assert reference.status == OPTIMAL
+            assert solve_lp(cone_lp)[0] == pytest.approx(reference.optimum, abs=1e-9)
+
+    def test_matches_general_simplex_on_six_face_witness(self):
+        cone_lp = assemble(two_face_witness(), 5)
+        reference = simplex_solve(cone_lp.lp)
+        assert reference.status == OPTIMAL
+        assert solve_lp(cone_lp)[0] == pytest.approx(reference.optimum, abs=1e-9)
+
+    def test_one_pivot(self):
+        result = lower_bound_lp(two_face_witness(), 4)
+        assert result.diagnostics["iterations"] == 1
+
+
+class TestFrontier:
+    @pytest.mark.parametrize(
+        "g, s",
+        [(two_face_witness(3), 16), (sum_of_squares(3), 13), (sum_of_squares(3), 15)],
+        ids=["witness-d3-s16", "sos-d3-s13", "sos-d3-s15"],
+    )
+    def test_solves_within_contract(self, g, s):
+        result = lower_bound_lp(g, s)
+        assert result.diagnostics["residuals"]["primal"] <= 1e-8
+        assert result.value == pytest.approx(oracle_bound(g, s).value, abs=1e-9)
+
+    def test_past_frontier_raises(self):
+        # the triangular solves lose absolute accuracy as the entries grow:
+        # the primal residual here is about 5e-4, so no number is returned
+        with pytest.raises(SolverFailure):
+            lower_bound_lp(two_face_witness(3), 24)
 
 
 class TestBounds:

@@ -88,6 +88,14 @@ class TestBound:
             == 3
         )
 
+    def test_lp_past_its_frontier_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "witness3.json"
+        path.write_text(poly_to_json(two_face_witness(3)))
+        assert main(["bound", "--observable", str(path), "--s", "24"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "residuals" in captured.err
+
     def test_dump_lp(self, witness_path, capsys):
         assert (
             main(
