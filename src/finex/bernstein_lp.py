@@ -12,26 +12,41 @@ the LP assembly examples.
 The u-block is a nonsingular basis for free: theta^n reduces to
 theta_1^n_1 ... theta_{d-1}^n_{d-1} (its own row, coefficient 1) plus terms
 of strictly higher reduced degree, so ordered by degree it is unit
-lower-triangular with identity diagonal blocks.  Starting from that basis, one pivot (c entering, the ratio test
-picking the leaving column) reaches the optimum; the resulting primal and
-dual are validated against the assembled system, so optimality is proved
-by the certificate, not assumed from the structure."""
+lower-triangular with identity diagonal blocks.  Starting from that basis,
+one pivot (c entering, the ratio test picking the leaving column) reaches
+the optimum; the resulting primal and dual are validated against the
+assembled system, so optimality is proved by the certificate, not assumed
+from the structure.
+
+Nothing in A depends on the observable, only on (d, s).  `_structure`
+builds it once per shape and caches it: the compositions, the u-block's
+off-diagonal entries as read-only (row, column, weight) arrays (O(nnz),
+never a dense matrix), the same entries grouped by the reduced degree of
+their row and of their column, so each triangular solve is s scatters,
+and q, c's column in the u-block basis.  `assemble` still writes a fresh
+dense A from those entries on every call, and b is A's u-block times the
+lifted coefficients, since the reduction is linear."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError, SolverFailure
-from .exchangeable import BoundResult, oracle_bound
-from .multiindex import CountVector, compositions, num_compositions
+from .exchangeable import (
+    BoundResult,
+    oracle_bound,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
+    oracle_bound_lifted,
+)
+from .multiindex import CountVector, compositions, orbit_size
 from .polynomial import (
     SimplexPolynomial,
     homogenize,
-    monomial,
-    reduce_to_free_vars,
+    reduce_to_free_vars,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
 )
 from .solvers import (
     LinearProgram,
@@ -39,6 +54,8 @@ from .solvers import (
     simplex_solve,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
     within_tolerances,
 )
+
+_PRUNE = DEFAULT_TOLERANCES.coefficient_prune
 
 
 @dataclass
@@ -53,43 +70,169 @@ class ConeMembershipLP:
     lifted: SimplexPolynomial = field(repr=False)
 
 
+@dataclass(frozen=True)
+class _Structure:
+    """Everything in the cone LP that depends on (d, s) alone.
+
+    Row i and column i both belong to comps[i]; the u-block is the
+    identity plus the off-diagonal entries (rows, cols, weights), sorted
+    by the reduced degree of their row.  forward[k-1] is the slice whose
+    rows have reduced degree k, for k = 1..s; backward holds the same
+    entries grouped by the reduced degree of their column, for
+    k = s-1 down to 0.  q = B^-1 e_0 is c's column in the u-block basis.
+    Every array is read-only.
+    """
+
+    comps: tuple[CountVector, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    forward: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    backward: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    q: np.ndarray
+
+
+def _rank(counts: np.ndarray, s: int) -> np.ndarray:
+    """Position of each row of counts (degree-s count vectors) in compositions(s, d).
+
+    Lex-descending order puts before n every vector sharing n's first i
+    entries and exceeding n_i at entry i; with R left to place over the
+    remaining slots, there are C(R - n_i - 1 + slots, slots) of them.
+    """
+    d = counts.shape[1]
+    table = _binomials(s, d)
+    out = np.zeros(len(counts), dtype=np.int64)
+    remaining = np.full(len(counts), s, dtype=np.int64)
+    for i in range(d - 1):
+        slots = d - 1 - i
+        # C(top, slots) is 0 when top < slots, that is when nothing exceeds n_i
+        out += table[remaining - counts[:, i] - 1 + slots, slots]
+        remaining -= counts[:, i]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _binomials(s: int, d: int) -> np.ndarray:
+    """table[a, b] = C(a, b) for b < d and a - b < s, the entries _rank reads.
+
+    Each is at most C(s + d - 2, s - 1) <= num_compositions(s, d), so the
+    table fits int64 whenever the LP itself fits in memory; the entries
+    _rank never reads are 0.  Read-only.
+    """
+    table = np.array(
+        [[math.comb(a, b) if a - b < s else 0 for b in range(d)] for a in range(s + d - 1)],
+        dtype=np.int64,
+    ).reshape(s + d - 1, d)
+    table.setflags(write=False)
+    return table
+
+
+def _by_level(level: np.ndarray, entries: tuple, levels: range) -> tuple:
+    """Sort the entries by level; return them and one slice of them per level."""
+    order = np.argsort(level, kind="stable")
+    entries = tuple(x[order] for x in entries)
+    for x in entries:
+        x.setflags(write=False)
+    start = np.searchsorted(level[order], levels, side="left")
+    stop = np.searchsorted(level[order], levels, side="right")
+    return entries, tuple(
+        tuple(x[i:j] for x in entries) for i, j in zip(start.tolist(), stop.tolist())
+    )
+
+
+@lru_cache(maxsize=None)
+def _structure(d: int, s: int) -> _Structure:
+    """Build the (d, s) structure of the cone LP; cached, as it never changes.
+
+    Substituting theta_d = 1 - theta_1 - ... - theta_{d-1} into theta^n
+    with k = n_d expands (1 - theta_1 - ... - theta_{d-1})^k: for every
+    j in compositions(k, d) the reduced monomial head(n) + j[1:] gets
+    orbit_size(j) * (-1)^(k - j_0).  j = (k, 0, ..., 0) is the diagonal 1.
+    The weights are exact integers, so A is the same bitwise as expanding
+    each column monomial by monomial.
+    """
+    comps = tuple(compositions(s, d))
+    counts = np.array(comps, dtype=np.int64).reshape(len(comps), d)
+    m = len(comps)
+    level = s - counts[:, -1]  # reduced degree of row i and of column i
+
+    rows, cols, weights = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
+    for k in range(1, s + 1):
+        js = compositions(k, d)[1:]  # every j but the diagonal (k, 0, ..., 0)
+        if not js:  # d == 1: the u-block is the 1x1 identity
+            continue
+        w = np.array([float(orbit_size(j) * (-1) ** (k - j[0])) for j in js])
+        cols_k = np.flatnonzero(counts[:, -1] == k)
+        tails = np.array(js, dtype=np.int64)[:, 1:]
+        targets = (counts[cols_k, None, :-1] + tails[None, :, :]).reshape(-1, d - 1)
+        full = np.column_stack([targets, s - targets.sum(axis=1)])
+        rows.append(_rank(full, s).astype(np.int32))
+        cols.append(np.repeat(cols_k, len(js)).astype(np.int32))
+        weights.append(np.tile(w, len(cols_k)))
+    rows, cols, weights = (np.concatenate(x) for x in (rows, cols, weights))
+
+    (rows, cols, weights), forward = _by_level(
+        level[rows], (rows, cols, weights), range(1, s + 1)
+    )
+    _, backward = _by_level(level[cols], (rows, cols, weights), range(s - 1, -1, -1))
+    e0 = np.zeros(m)
+    e0[m - 1] = 1.0  # c's column: the constant monomial's row, last in order
+    q = _forward_solve(forward, e0)
+    if not np.all(q > 0.0):
+        raise SolverFailure(
+            "cone LP normalization column solved to a non-positive entry",
+            {"min_q": float(q.min())},
+        )
+    q.setflags(write=False)
+    return _Structure(comps, rows, cols, weights, forward, backward, q)
+
+
+def _forward_solve(forward, x: np.ndarray) -> np.ndarray:
+    """B^-1 x, one reduced-degree level of rows at a time."""
+    x = x.copy()
+    for rows, cols, w in forward:
+        x -= np.bincount(rows, weights=w * x[cols], minlength=len(x))
+    return x
+
+
 def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
     """Build the coefficient-matching LP for g against length-s sequences.
 
     Rows are indexed by the reduced monomials theta_1^e1 ... theta_{d-1}^e_{d-1};
     the map n -> (n_1, ..., n_{d-1}) is a bijection from degree-s count
     vectors onto exponents with total degree <= s, so there are exactly
-    C(s+d-1, d-1) rows.
+    C(s+d-1, d-1) rows, in the order of compositions(s, d).  A is written
+    fresh from the cached structure on every call; b is the reduction of
+    the lifted observable, which is linear, so b = A_u @ lifted.
     """
     if s < g.degree:
         raise DomainError(f"sequence length {s} < polynomial degree {g.degree}")
     d = g.d
-    comps = compositions(s, d)
-    row_of = {n[: d - 1]: i for i, n in enumerate(comps)}
-    m = len(comps)
+    st = _structure(d, s)
+    m = len(st.comps)
 
     a = np.zeros((m, m + 1))
-    for j, n in enumerate(comps):
-        for e, coeff in reduce_to_free_vars(monomial(n)).items():
-            a[row_of[e], j] = coeff
+    a[st.rows, st.cols] = st.weights
+    a[np.arange(m), np.arange(m)] = 1.0
     # the constant c contributes only to the constant-monomial row
-    a[row_of[(0,) * (d - 1)], m] = 1.0
+    a[m - 1, m] = 1.0
 
     lifted = homogenize(g, s)
-    b = np.zeros(m)
-    for e, coeff in reduce_to_free_vars(lifted).items():
-        b[row_of[e]] = coeff
+    coefficients = np.zeros(m)
+    where = _rank(np.array(list(lifted.terms), dtype=np.int64).reshape(-1, d), s)
+    coefficients[where] = list(lifted.terms.values())
+    b = a[:, :m] @ coefficients
+    b[np.abs(b) < _PRUNE] = 0.0
 
     objective = np.zeros(m + 1)
     objective[m] = 1.0
     free = np.zeros(m + 1, dtype=bool)
     free[m] = True
-    assert m == num_compositions(s, d)
     return ConeMembershipLP(
         d=d,
         s=s,
-        u_columns=comps,
-        rows=[n[: d - 1] for n in comps],
+        u_columns=list(st.comps),
+        rows=[n[: d - 1] for n in st.comps],
         lp=LinearProgram(a, b, objective, free),
         lifted=lifted,
     )
@@ -101,30 +244,20 @@ def _structural_solve(
     """Optimal primal/dual pair from the u-block basis B and one pivot.
 
     Grouped by reduced degree, B's diagonal blocks are identities, so both
-    triangular solves run one degree level at a time.  With B basic,
-    u = p - c q for p = B^-1 b and q = B^-1 e_0 (e_0 is c's column); q
-    holds the multinomial coefficients of (sum theta)^s, all positive.
-    Entering c, the ratio test makes the column with the smallest p_j / q_j
-    leave.  The dual B^T y = e_j / q_j then gives every u column a reduced
-    cost <= 0 and c exactly 0, so the pivot is optimal; the pair is
-    validated against the assembled a and b like any other certificate.
+    triangular solves run one degree level at a time, each level a single
+    scatter of the cached off-diagonal entries.  With B basic, u = p - c q
+    for p = B^-1 b and q = B^-1 e_0 (e_0 is c's column); q holds the
+    multinomial coefficients of (sum theta)^s, all positive, and is
+    cached with the structure.  Entering c, the ratio test makes the
+    column with the smallest p_j / q_j leave.  The dual B^T y = e_j / q_j
+    then gives every u column a reduced cost <= 0 and c exactly 0, so the
+    pivot is optimal; the pair is validated against the assembled a and b
+    like any other certificate.
     Returns (optimal value, primal, dual, residuals).
     """
     lp = cone_lp.lp
-    m = len(cone_lp.u_columns)
-    level = np.array([sum(e) for e in cone_lp.rows])
-    levels = [np.flatnonzero(level == k) for k in range(cone_lp.s + 1)]
-
-    pq = np.column_stack([lp.b, lp.a[:, m]])
-    for k in range(1, cone_lp.s + 1):
-        rows, done = levels[k], np.concatenate(levels[:k])
-        pq[rows] -= lp.a[np.ix_(rows, done)] @ pq[done]
-    p, q = pq.T
-    if not np.all(q > 0.0):
-        raise SolverFailure(
-            "cone LP normalization column solved to a non-positive entry",
-            {"min_q": float(q.min())},
-        )
+    st = _structure(cone_lp.d, cone_lp.s)
+    p, q = _forward_solve(st.forward, lp.b), st.q
 
     ratios = p / q
     leaving = int(np.argmin(ratios))
@@ -133,11 +266,10 @@ def _structural_solve(
     u[leaving] = 0.0
     primal = np.append(u, c)
 
-    dual = np.zeros(m)
+    dual = np.zeros(len(q))
     dual[leaving] = 1.0 / q[leaving]
-    for k in range(cone_lp.s - 1, -1, -1):
-        cols, done = levels[k], np.concatenate(levels[k + 1 :])
-        dual[cols] -= lp.a[np.ix_(done, cols)].T @ dual[done]
+    for rows, cols, w in st.backward:
+        dual -= np.bincount(cols, weights=w * dual[rows], minlength=len(dual))
 
     residuals = certificate_residuals(lp, primal, dual)
     if not within_tolerances(residuals, tol):
@@ -173,7 +305,7 @@ def lower_bound_lp(
     """
     cone_lp = assemble(g, s)
     value, primal, dual, residuals = _structural_solve(cone_lp, tolerances)
-    oracle = oracle_bound(g, s)
+    oracle = oracle_bound_lifted(cone_lp.lifted)
     gap = abs(value - oracle.value)
     if gap > tolerances.method_agreement:
         raise SolverFailure(

@@ -56,6 +56,8 @@ class ExchangeableDistribution:
                     f"orbit {n} does not have degree {self.r} over d={self.d}"
                 )
             p = float(p)
+            if not math.isfinite(p):
+                raise DomainError(f"orbit probability {p} at {n} is not finite")
             if p < -tol.negativity:
                 raise DomainError(f"negative orbit probability {p} at {n}")
             total += p
@@ -214,11 +216,19 @@ def oracle_bound(g: SimplexPolynomial, s: int) -> BoundResult:
     """
     if s < g.degree:
         raise DomainError(f"sequence length {s} < polynomial degree {g.degree}")
-    lifted = homogenize(g, s)
+    return oracle_bound_lifted(homogenize(g, s))
+
+
+def oracle_bound_lifted(lifted: SimplexPolynomial) -> BoundResult:
+    """oracle_bound for a polynomial already lifted to the sequence length.
+
+    The length is lifted.degree; callers that hold homogenize(g, s) use
+    this to avoid lifting g a second time.
+    """
     best_value = None
     best_n = None
     evaluated = 0
-    for n in compositions(s, g.d):
+    for n in compositions(lifted.degree, lifted.d):
         value = lifted.terms.get(n, 0.0) / orbit_size(n)
         evaluated += 1
         if best_value is None or value < best_value:
@@ -228,7 +238,7 @@ def oracle_bound(g: SimplexPolynomial, s: int) -> BoundResult:
         value=best_value,
         method="oracle",
         argmin=best_n,
-        diagnostics={"compositions_evaluated": evaluated, "s": s},
+        diagnostics={"compositions_evaluated": evaluated, "s": lifted.degree},
     )
 
 

@@ -20,6 +20,7 @@ term lists and names the offending term.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from .config import DEFAULT_TOLERANCES
 from .errors import DomainError
@@ -52,6 +53,8 @@ class SimplexPolynomial:
                     f"term {n} has degree {sum(n)}, expected {self.degree} (not homogeneous)"
                 )
             c = float(c)
+            if not math.isfinite(c):
+                raise DomainError(f"term {n} has a non-finite coefficient {c}")
             if abs(c) >= _PRUNE:
                 cleaned[n] = cleaned.get(n, 0.0) + c
         object.__setattr__(self, "terms", cleaned)
@@ -137,7 +140,9 @@ def reduce_to_free_vars(g: SimplexPolynomial) -> dict[tuple[int, ...], float]:
     """Substitute theta_d = 1 - theta_1 - ... - theta_{d-1} and expand.
 
     Returns a (generally non-homogeneous) map from (d-1)-entry exponent
-    vectors to coefficients.  Used for LP assembly by coefficient matching.
+    vectors to coefficients.  The cone LP (bernstein_lp) writes the same
+    coefficients from its cached per-shape structure; this expansion is
+    the reference its tests compare against.
     """
     out: dict[tuple[int, ...], float] = {}
     dm1 = g.d - 1

@@ -68,6 +68,18 @@ class TestBound:
         bad.write_text("{broken")
         assert main(["bound", "--observable", str(bad), "--s", "2"]) == 2
 
+    @pytest.mark.parametrize("coeff", ["NaN", "-Infinity", "Infinity"])
+    def test_non_finite_coefficient_exits_2(self, tmp_path, capsys, coeff):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"d": 3, "terms": [{"counts": [2, 0, 0], "coeff": 1.0},'
+            ' {"counts": [1, 1, 0], "coeff": %s}]}' % coeff
+        )
+        assert main(["bound", "--observable", str(path), "--s", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_missing_file_exits_2(self):
         assert main(["bound", "--observable", "/nonexistent.json", "--s", "2"]) == 2
 

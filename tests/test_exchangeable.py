@@ -20,6 +20,7 @@ from finex.exchangeable import (
     from_sequence_probs,
     marginalize,
     oracle_bound,
+    oracle_bound_lifted,
     sample,
     to_json,
     urn_distribution,
@@ -251,6 +252,13 @@ class TestOracleBound:
         with pytest.raises(DomainError):
             oracle_bound(two_face_witness(), 1)
 
+    def test_lifted_entry_point_is_the_same_bound(self):
+        g = two_face_witness(4)
+        for s in (2, 3, 6):
+            direct = oracle_bound(g, s)
+            lifted = oracle_bound_lifted(homogenize(g, s))
+            assert lifted == direct
+
 
 class TestSample:
     def test_support(self):
@@ -298,6 +306,16 @@ class TestInvariants:
             ExchangeableDistribution(2, 2, {(1, 1): 1.5, (2, 0): -0.5})
         with pytest.raises(DomainError):
             ExchangeableDistribution(2, 2, {(1, 1, 0): 1.0})
+
+    def test_nan_orbit_probability_is_rejected(self):
+        # a NaN total would slip past the normalization check, leaving an
+        # empty distribution; it raises instead
+        with pytest.raises(DomainError, match="not finite"):
+            ExchangeableDistribution(2, 2, {(1, 1): float("nan")})
+        with pytest.raises(DomainError, match="not finite"):
+            ExchangeableDistribution(2, 2, {(1, 1): 1.0, (2, 0): float("nan")})
+        with pytest.raises(DomainError):
+            from_json('{"d": 2, "r": 2, "orbits": [{"counts": [1, 1], "prob": NaN}]}')
 
     def test_operations_return_valid_distributions(self):
         rng = np.random.default_rng(29)

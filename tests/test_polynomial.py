@@ -240,6 +240,16 @@ class TestConstruction:
         g = SimplexPolynomial(2, 2, {(2, 0): 1.0, (1, 1): 1e-16})
         assert (1, 1) not in g.terms
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_coefficients(self, bad):
+        # a NaN is not pruned and an infinity is not accepted: both raise
+        with pytest.raises(DomainError, match="non-finite"):
+            SimplexPolynomial(2, 2, {(2, 0): 1.0, (1, 1): bad})
+
+    def test_json_nan_coefficient_is_rejected(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            from_json('{"d": 2, "terms": [{"counts": [2, 0], "coeff": NaN}]}')
+
     def test_zero_polynomial(self):
         g = SimplexPolynomial(3, 2, {})
         assert g.terms == {}
