@@ -1,8 +1,11 @@
 """Worst-case expectations over finitely exchangeable sequences.
 
-Three mutually cross-checking computations of the same quantity: an exact
-enumeration over urn extreme points, a cone-membership linear program,
-and a minimum-eigenvalue problem on the bosonic symmetric subspace.
+Three computations of the same quantity: urn enumeration, the boson
+minimum eigenvalue and a cone-membership linear program.  The first two
+read one vector of urn values (exchangeable.urn_values), which is also
+the compressed boson observable's diagonal: the classical/quantum
+equivalence written out, so they agree by construction.  The cone LP is
+computed independently.
 """
 
 from .boson import (

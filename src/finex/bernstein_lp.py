@@ -19,17 +19,16 @@ assembled system, so optimality is proved by the certificate, not assumed
 from the structure.
 
 Nothing in A depends on the observable, only on (d, s).  `_structure`
-builds it once per shape and caches it: the compositions, the u-block's
-off-diagonal entries as read-only (row, column, weight) arrays (O(nnz),
-never a dense matrix), the same entries grouped by the reduced degree of
-their row and of their column, so each triangular solve is s scatters,
-and q, c's column in the u-block basis.  `assemble` still writes a fresh
-dense A from those entries on every call, and b is A's u-block times the
-lifted coefficients, since the reduction is linear."""
+builds it once per shape and caches it: the u-block's off-diagonal
+entries as read-only (row, column, weight) arrays (O(nnz), never a dense
+matrix), the same entries grouped by the reduced degree of their row and
+of their column, so each triangular solve is s scatters, and q, c's
+column in the u-block basis.  `assemble` still writes a fresh dense A
+from those entries on every call, and b is A's u-block times the lifted
+coefficients, since the reduction is linear."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -42,7 +41,7 @@ from .exchangeable import (
     oracle_bound,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
     oracle_bound_lifted,
 )
-from .multiindex import CountVector, compositions, orbit_size
+from .multiindex import CountVector, composition_array, compositions, orbit_sizes, ranks
 from .polynomial import (
     SimplexPolynomial,
     homogenize,
@@ -74,8 +73,8 @@ class ConeMembershipLP:
 class _Structure:
     """Everything in the cone LP that depends on (d, s) alone.
 
-    Row i and column i both belong to comps[i]; the u-block is the
-    identity plus the off-diagonal entries (rows, cols, weights), sorted
+    Row i and column i both belong to compositions(s, d)[i]; the u-block
+    is the identity plus the off-diagonal entries (rows, cols, weights), sorted
     by the reduced degree of their row.  forward[k-1] is the slice whose
     rows have reduced degree k, for k = 1..s; backward holds the same
     entries grouped by the reduced degree of their column, for
@@ -83,48 +82,12 @@ class _Structure:
     Every array is read-only.
     """
 
-    comps: tuple[CountVector, ...]
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
     forward: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     backward: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     q: np.ndarray
-
-
-def _rank(counts: np.ndarray, s: int) -> np.ndarray:
-    """Position of each row of counts (degree-s count vectors) in compositions(s, d).
-
-    Lex-descending order puts before n every vector sharing n's first i
-    entries and exceeding n_i at entry i; with R left to place over the
-    remaining slots, there are C(R - n_i - 1 + slots, slots) of them.
-    """
-    d = counts.shape[1]
-    table = _binomials(s, d)
-    out = np.zeros(len(counts), dtype=np.int64)
-    remaining = np.full(len(counts), s, dtype=np.int64)
-    for i in range(d - 1):
-        slots = d - 1 - i
-        # C(top, slots) is 0 when top < slots, that is when nothing exceeds n_i
-        out += table[remaining - counts[:, i] - 1 + slots, slots]
-        remaining -= counts[:, i]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _binomials(s: int, d: int) -> np.ndarray:
-    """table[a, b] = C(a, b) for b < d and a - b < s, the entries _rank reads.
-
-    Each is at most C(s + d - 2, s - 1) <= num_compositions(s, d), so the
-    table fits int64 whenever the LP itself fits in memory; the entries
-    _rank never reads are 0.  Read-only.
-    """
-    table = np.array(
-        [[math.comb(a, b) if a - b < s else 0 for b in range(d)] for a in range(s + d - 1)],
-        dtype=np.int64,
-    ).reshape(s + d - 1, d)
-    table.setflags(write=False)
-    return table
 
 
 def _by_level(level: np.ndarray, entries: tuple, levels: range) -> tuple:
@@ -151,22 +114,20 @@ def _structure(d: int, s: int) -> _Structure:
     The weights are exact integers, so A is the same bitwise as expanding
     each column monomial by monomial.
     """
-    comps = tuple(compositions(s, d))
-    counts = np.array(comps, dtype=np.int64).reshape(len(comps), d)
-    m = len(comps)
+    counts = composition_array(s, d)
+    m = len(counts)
     level = s - counts[:, -1]  # reduced degree of row i and of column i
 
     rows, cols, weights = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
     for k in range(1, s + 1):
-        js = compositions(k, d)[1:]  # every j but the diagonal (k, 0, ..., 0)
-        if not js:  # d == 1: the u-block is the 1x1 identity
+        js = composition_array(k, d)[1:]  # every j but the diagonal (k, 0, ..., 0)
+        if not len(js):  # d == 1: the u-block is the 1x1 identity
             continue
-        w = np.array([float(orbit_size(j) * (-1) ** (k - j[0])) for j in js])
+        w = orbit_sizes(k, d)[1:] * (-1.0) ** (k - js[:, 0])
         cols_k = np.flatnonzero(counts[:, -1] == k)
-        tails = np.array(js, dtype=np.int64)[:, 1:]
-        targets = (counts[cols_k, None, :-1] + tails[None, :, :]).reshape(-1, d - 1)
+        targets = (counts[cols_k, None, :-1] + js[None, :, 1:]).reshape(-1, d - 1)
         full = np.column_stack([targets, s - targets.sum(axis=1)])
-        rows.append(_rank(full, s).astype(np.int32))
+        rows.append(ranks(full, s).astype(np.int32))
         cols.append(np.repeat(cols_k, len(js)).astype(np.int32))
         weights.append(np.tile(w, len(cols_k)))
     rows, cols, weights = (np.concatenate(x) for x in (rows, cols, weights))
@@ -184,7 +145,7 @@ def _structure(d: int, s: int) -> _Structure:
             {"min_q": float(q.min())},
         )
     q.setflags(write=False)
-    return _Structure(comps, rows, cols, weights, forward, backward, q)
+    return _Structure(rows, cols, weights, forward, backward, q)
 
 
 def _forward_solve(forward, x: np.ndarray) -> np.ndarray:
@@ -209,7 +170,8 @@ def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
         raise DomainError(f"sequence length {s} < polynomial degree {g.degree}")
     d = g.d
     st = _structure(d, s)
-    m = len(st.comps)
+    comps = compositions(s, d)
+    m = len(comps)
 
     a = np.zeros((m, m + 1))
     a[st.rows, st.cols] = st.weights
@@ -218,10 +180,7 @@ def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
     a[m - 1, m] = 1.0
 
     lifted = homogenize(g, s)
-    coefficients = np.zeros(m)
-    where = _rank(np.array(list(lifted.terms), dtype=np.int64).reshape(-1, d), s)
-    coefficients[where] = list(lifted.terms.values())
-    b = a[:, :m] @ coefficients
+    b = a[:, :m] @ lifted.coefficient_vector
     b[np.abs(b) < _PRUNE] = 0.0
 
     objective = np.zeros(m + 1)
@@ -231,8 +190,8 @@ def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
     return ConeMembershipLP(
         d=d,
         s=s,
-        u_columns=list(st.comps),
-        rows=[n[: d - 1] for n in st.comps],
+        u_columns=comps,
+        rows=[n[: d - 1] for n in comps],
         lp=LinearProgram(a, b, objective, free),
         lifted=lifted,
     )

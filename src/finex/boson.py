@@ -18,21 +18,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import CapacityError, DomainError, SolverFailure
-from .exchangeable import BoundResult, ExchangeableDistribution
+from .exchangeable import BoundResult, ExchangeableDistribution, urn_values
 from .multiindex import (
     CountVector,
     compositions,
     num_compositions,
-    orbit_size,
+    orbit_sizes,
     rank,
-    sequence_to_counts,
-    sequences,
+    ranks,
+    scatter_by_rank,
+    unrank,
 )
 from .polynomial import (
     DiagonalObservable,
@@ -40,7 +40,6 @@ from .polynomial import (
     evaluate,
     gradient,
     homogenize,
-    to_diagonal_observable,
 )
 from .solvers import jacobi_eigen, require_hermitian
 
@@ -55,6 +54,18 @@ def _check_dense(s: int, d: int) -> int:
             "use the occupation-basis path"
         )
     return dim
+
+
+def _outcomes(s: int, d: int) -> np.ndarray:
+    """outcomes[i, j] is draw i of sequences(s, d)[j], the row-major tensor basis."""
+    return np.indices((d,) * s).reshape(s, d**s)
+
+
+def _sequence_orbits(s: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and orbit size of each sequence's count vector, over sequences(s, d)."""
+    _check_dense(s, d)
+    k = ranks((_outcomes(s, d)[:, :, None] == np.arange(d)).sum(axis=0), s)
+    return k, orbit_sizes(s, d)[k]
 
 
 @dataclass(frozen=True)
@@ -77,11 +88,9 @@ class OccupationBasis:
 
     def dense_isometry(self) -> np.ndarray:
         """V with columns (1/sqrt(orbit)) * sum of the orbit's basis vectors."""
-        dim = _check_dense(self.s, self.d)
-        v = np.zeros((dim, self.dimension))
-        for i, seq in enumerate(sequences(self.s, self.d)):
-            n = sequence_to_counts(seq, self.d)
-            v[i, self.index(n)] = 1.0 / np.sqrt(orbit_size(n))
+        k, orbits = _sequence_orbits(self.s, self.d)
+        v = np.zeros((len(k), self.dimension))
+        v[np.arange(len(k)), k] = 1.0 / np.sqrt(orbits)
         return v
 
 
@@ -118,15 +127,7 @@ class BosonDensityMatrix:
         # equal to V @ matrix @ V^H, but written with one exact integer
         # orbit product per entry: same-orbit entries come out bit-exact
         # (probability/orbit_size) instead of picking up sqrt round-off
-        _check_dense(self.basis.s, self.basis.d)
-        seqs = sequences(self.basis.s, self.basis.d)
-        idx = np.array(
-            [self.basis.index(sequence_to_counts(seq, self.basis.d)) for seq in seqs]
-        )
-        orb = np.array(
-            [orbit_size(sequence_to_counts(seq, self.basis.d)) for seq in seqs],
-            dtype=float,
-        )
+        idx, orb = _sequence_orbits(self.basis.s, self.basis.d)
         return self.matrix[np.ix_(idx, idx)] / np.sqrt(np.outer(orb, orb))
 
 
@@ -137,19 +138,11 @@ def permutation_matrix(perm, d: int) -> np.ndarray:
     if sorted(perm) != list(range(s)):
         raise DomainError(f"{perm} is not a permutation of 0..{s - 1}")
     dim = _check_dense(s, d)
+    # column j is sequence j; its reordering sits at its row-major index
+    rows = d ** np.arange(s - 1, -1, -1) @ _outcomes(s, d)[list(perm)]
     p = np.zeros((dim, dim))
-    for col, seq in enumerate(sequences(s, d)):
-        permuted = tuple(seq[perm[i]] for i in range(s))
-        row = 0
-        for t in permuted:
-            row = row * d + t
-        p[row, col] = 1.0
+    p[rows, np.arange(dim)] = 1.0
     return p
-
-
-def compose_permutations(pi, sigma):
-    """The permutation whose matrix is permutation_matrix(pi) @ permutation_matrix(sigma)."""
-    return tuple(sigma[pi[i]] for i in range(len(pi)))
 
 
 def symmetrizer(s: int, d: int) -> np.ndarray:
@@ -159,28 +152,8 @@ def symmetrizer(s: int, d: int) -> np.ndarray:
     built here from the orbit structure (entries 1/orbit_size within an
     orbit block), which is the same matrix without the factorial sum.
     """
-    dim = _check_dense(s, d)
-    pi = np.zeros((dim, dim))
-    orbit_members: dict[CountVector, list[int]] = {}
-    for i, seq in enumerate(sequences(s, d)):
-        orbit_members.setdefault(sequence_to_counts(seq, d), []).append(i)
-    for n, members in orbit_members.items():
-        weight = 1.0 / orbit_size(n)
-        for a in members:
-            for b in members:
-                pi[a, b] = weight
-    return pi
-
-
-def symmetrizer_from_permutations(s: int, d: int) -> np.ndarray:
-    """Literal (1/s!) sum over permutation matrices; test-scale reference."""
-    dim = _check_dense(s, d)
-    total = np.zeros((dim, dim))
-    count = 0
-    for perm in permutations(range(s)):
-        total += permutation_matrix(perm, d)
-        count += 1
-    return total / count
+    k, orbits = _sequence_orbits(s, d)
+    return np.where(k[:, None] == k[None, :], 1.0 / orbits[:, None], 0.0)
 
 
 def occupation_diagonal(obs: DiagonalObservable) -> np.ndarray:
@@ -190,7 +163,7 @@ def occupation_diagonal(obs: DiagonalObservable) -> np.ndarray:
     gives a diagonal matrix whose (n, n) entry is the observable's shared
     value on orbit n.
     """
-    return np.array([obs.value(n) for n in compositions(obs.s, obs.d)])
+    return scatter_by_rank(obs.values, obs.s, obs.d)
 
 
 def compress(obs: DiagonalObservable) -> np.ndarray:
@@ -217,19 +190,19 @@ def quantum_bound(
     occupation basis, so its minimum eigenvalue is the smallest diagonal
     entry and the optimal rho is the rank-one projector onto the matching
     occupation state; that basis vector is returned as the certificate.
+    The diagonal is the urn oracle's vector (urn_values), so this route
+    and the oracle agree by construction.
     """
     if s < g.degree:
         raise DomainError(f"sequence length {s} < polynomial degree {g.degree}")
-    obs = to_diagonal_observable(homogenize(g, s))
-    diagonal = occupation_diagonal(obs)
+    diagonal = urn_values(homogenize(g, s))
     k = int(np.argmin(diagonal))  # first minimum wins: deterministic tie-break
     eigenvector = np.zeros(len(diagonal))
     eigenvector[k] = 1.0
-    basis = OccupationBasis(g.d, s)
     return BoundResult(
         value=float(diagonal[k]),
         method="boson",
-        argmin=basis.elements[k],
+        argmin=unrank(k, s, g.d),
         certificate=eigenvector,
         diagnostics={"occupation_dimension": len(diagonal), "s": s},
     )
@@ -243,9 +216,7 @@ def rho_from_exchangeable(dist: ExchangeableDistribution) -> BosonDensityMatrix:
     is invariant under the symmetrizer.
     """
     basis = OccupationBasis(dist.d, dist.r)
-    weights = np.zeros(basis.dimension)
-    for n, p in dist.orbit_probs.items():
-        weights[basis.index(n)] = p
+    weights = scatter_by_rank(dist.orbit_probs, dist.r, dist.d)
     return BosonDensityMatrix(basis, np.diag(weights.astype(complex)))
 
 
@@ -262,7 +233,7 @@ def witness_value(observable, rho: BosonDensityMatrix) -> float:
                 f"observable is d={observable.d}, s={observable.s}; state is "
                 f"d={rho.basis.d}, s={rho.basis.s}"
             )
-        compressed = np.diag(occupation_diagonal(observable).astype(complex))
+        compressed = compress(observable)
     else:
         compressed = compress_hermitian(
             np.asarray(observable), rho.basis.s, rho.basis.d

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,22 +48,6 @@ def _round_floats(obj):
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
     return obj
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings for one command invocation."""
-
-    command: str
-    observable: SimplexPolynomial | None = None
-    s_min: int | None = None
-    s_max: int | None = None
-    methods: tuple[str, ...] = ()
-    out: str | None = None
-    fmt: str = "json"
-    seed: int = 0
-    agreement_tol: float = DEFAULT_TOLERANCES.method_agreement
-    lp_cap: int = DEFAULT_LP_CAP
 
 
 def _agreement_tolerance(flag_value: float | None) -> float:
@@ -109,10 +92,10 @@ def _bound_for(method: str, g: SimplexPolynomial, s: int):
     raise DomainError(f"unknown method {method!r}")
 
 
-def cmd_bound(config: RunConfig) -> int:
-    g = config.observable
-    s = config.s_min
-    results = [_bound_for(m, g, s) for m in config.methods]
+def cmd_bound(
+    g: SimplexPolynomial, s: int, methods: tuple, out: str | None, out_format: str, tol: float
+) -> int:
+    results = [_bound_for(m, g, s) for m in methods]
     doc = {
         "d": g.d,
         "s": s,
@@ -129,28 +112,27 @@ def cmd_bound(config: RunConfig) -> int:
         values = [r.value for r in results]
         discrepancy = max(values) - min(values)
         doc["max_discrepancy"] = discrepancy
-        doc["agreement_tolerance"] = config.agreement_tol
-        doc["agree"] = bool(discrepancy <= config.agreement_tol)
-    if config.fmt == "json":
+        doc["agreement_tolerance"] = tol
+        doc["agree"] = bool(discrepancy <= tol)
+    if out_format == "json":
         text = json.dumps(_round_floats(doc), indent=2)
     else:
         lines = ["method,value"]
         lines += [f"{r.method},{fmt(r.value)}" for r in results]
         text = "\n".join(lines)
-    _write_output(text, config.out)
+    _write_output(text, out)
     return EXIT_OK
 
 
-def cmd_curve(config: RunConfig) -> int:
-    g = config.observable
+def cmd_curve(g: SimplexPolynomial, s_min: int, s_max: int, out: str | None, lp_cap: int) -> int:
     floor = boson.simplex_minimum(g)
     lines = ["s,v_oracle,v_lp,v_boson,v_infinity"]
-    for s in range(config.s_min, config.s_max + 1):
+    for s in range(s_min, s_max + 1):
         v_oracle = oracle_bound(g, s).value
-        v_lp = fmt(lower_bound_lp(g, s).value) if s <= config.lp_cap else ""
+        v_lp = fmt(lower_bound_lp(g, s).value) if s <= lp_cap else ""
         v_boson = boson.quantum_bound(g, s).value
         lines.append(f"{s},{fmt(v_oracle)},{v_lp},{fmt(v_boson)},{fmt(floor)}")
-    _write_output("\n".join(lines) + "\n", config.out)
+    _write_output("\n".join(lines) + "\n", out)
     return EXIT_OK
 
 
@@ -380,20 +362,11 @@ def main(argv=None) -> int:
                 raise DomainError(
                     f"--s {args.s} is below the observable degree {g.degree}"
                 )
-            config = RunConfig(
-                command="bound",
-                observable=g,
-                s_min=args.s,
-                methods=("oracle", "lp", "boson")
-                if args.method == "all"
-                else (args.method,),
-                out=args.out,
-                fmt=args.format,
-                agreement_tol=_agreement_tolerance(args.tol),
-            )
+            methods = ("oracle", "lp", "boson") if args.method == "all" else (args.method,)
+            tol = _agreement_tolerance(args.tol)
             if args.dump_lp:
                 print(dump(assemble(g, args.s)))
-            return cmd_bound(config)
+            return cmd_bound(g, args.s, methods, args.out, args.format, tol)
 
         if args.command == "curve":
             g = _load_observable(args.observable)
@@ -405,16 +378,7 @@ def main(argv=None) -> int:
                 raise DomainError(
                     f"--s-min {args.s_min} is below the observable degree {g.degree}"
                 )
-            config = RunConfig(
-                command="curve",
-                observable=g,
-                s_min=args.s_min,
-                s_max=args.s_max,
-                out=args.out,
-                fmt="csv",
-                lp_cap=args.lp_cap,
-            )
-            return cmd_curve(config)
+            return cmd_curve(g, args.s_min, args.s_max, args.out, args.lp_cap)
 
         if args.command == "verify":
             return cmd_verify(

@@ -18,11 +18,9 @@ class Tolerances:
     pivot_threshold: float = 1e-10
     simplex_iteration_cap: int = 1_000_000
     simplex_stall_limit: int = 200      # degenerate iterations before Bland's rule engages
-    simplex_refresh_every: int = 50     # basis-inverse refactorization period
 
     # eigensolver
     eigen_residual: float = 1e-9        # ||A v - lambda v|| <= this * ||A||_F
-    eigen_orthonormality: float = 1e-10
     eigen_sweep_cap: int = 100
     hermiticity: float = 1e-12
 

@@ -26,7 +26,10 @@ from .multiindex import (
     compositions,
     orbit_sequences,
     orbit_size,
+    orbit_sizes,
+    scatter_by_rank,
     sequence_to_counts,
+    unrank,
     validate_counts,
 )
 from .polynomial import SimplexPolynomial, homogenize
@@ -186,7 +189,7 @@ def marginalize(dist: ExchangeableDistribution, r: int) -> ExchangeableDistribut
 
 
 def expectation(dist: ExchangeableDistribution, g: SimplexPolynomial) -> float:
-    """E[g] = sum over terms u_n * P(orbit n) / orbit_size(n).
+    """E[g] = sum over orbits n of urn_values(g)[n] * P(orbit n).
 
     The polynomial degree must equal the sequence length; lift the
     polynomial with homogenize first if it is shorter.
@@ -198,12 +201,7 @@ def expectation(dist: ExchangeableDistribution, g: SimplexPolynomial) -> float:
             f"polynomial degree {g.degree} != sequence length {dist.r}; "
             "homogenize the polynomial first"
         )
-    total = 0.0
-    for n, u in g.terms.items():
-        p = dist.orbit_probs.get(n)
-        if p:
-            total += u * p / orbit_size(n)
-    return total
+    return float(urn_values(g) @ scatter_by_rank(dist.orbit_probs, dist.r, dist.d))
 
 
 def oracle_bound(g: SimplexPolynomial, s: int) -> BoundResult:
@@ -225,21 +223,25 @@ def oracle_bound_lifted(lifted: SimplexPolynomial) -> BoundResult:
     The length is lifted.degree; callers that hold homogenize(g, s) use
     this to avoid lifting g a second time.
     """
-    best_value = None
-    best_n = None
-    evaluated = 0
-    for n in compositions(lifted.degree, lifted.d):
-        value = lifted.terms.get(n, 0.0) / orbit_size(n)
-        evaluated += 1
-        if best_value is None or value < best_value:
-            best_value = value
-            best_n = n
+    values = urn_values(lifted)
+    k = int(np.argmin(values))  # the first minimum: the earlier composition wins ties
     return BoundResult(
-        value=best_value,
+        value=float(values[k]),
         method="oracle",
-        argmin=best_n,
-        diagnostics={"compositions_evaluated": evaluated, "s": lifted.degree},
+        argmin=unrank(k, lifted.degree, lifted.d),
+        diagnostics={"compositions_evaluated": len(values), "s": lifted.degree},
     )
+
+
+def urn_values(lifted: SimplexPolynomial) -> np.ndarray:
+    """Expectation of lifted under every urn, in compositions(s, d) order.
+
+    The urn with composition n makes each ordering of n equally likely, so
+    it reads the coefficient of theta^n divided by orbit_size(n).  The same
+    vector is the diagonal of the lifted observable compressed onto the
+    occupation basis, which is why the boson route reads it too.
+    """
+    return lifted.coefficient_vector / orbit_sizes(lifted.degree, lifted.d)
 
 
 def sample(

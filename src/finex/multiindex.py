@@ -10,12 +10,16 @@ tuples of non-negative ints:
 Every enumeration in the package uses one fixed total order on count
 vectors of a given degree: lexicographic, descending (so the first
 coordinate decreases first).  For r=2, d=2 that is (2,0), (1,1), (0,2).
+This module owns that order: other modules locate count vectors in it
+with ranks and read per-vector arrays (composition_array, orbit_sizes).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -29,11 +33,6 @@ def validate_counts(n: CountVector) -> None:
         raise DomainError("count vector needs at least one outcome")
     if any(not isinstance(v, int) or v < 0 for v in n):
         raise DomainError(f"count vector entries must be non-negative integers: {n}")
-
-
-def degree(n: CountVector) -> int:
-    """Total number of draws recorded by the count vector."""
-    return sum(n)
 
 
 def num_compositions(r: int, d: int) -> int:
@@ -56,16 +55,21 @@ def _compositions(r: int, d: int) -> tuple[CountVector, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def composition_array(r: int, d: int) -> np.ndarray:
+    """compositions(r, d) as a read-only int64 array, one row per count vector."""
+    out = np.array(_compositions(r, d), dtype=np.int64).reshape(-1, d)
+    out.setflags(write=False)
+    return out
+
+
 def compositions(r: int, d: int) -> list[CountVector]:
     """All count vectors of degree r over d outcomes, lex-descending.
 
     The list has num_compositions(r, d) elements, no duplicates, and is
     strictly decreasing under tuple comparison.
     """
-    if d < 1:
-        raise DomainError("d must be >= 1")
-    if r < 0:
-        raise DomainError("degree must be >= 0")
+    num_compositions(r, d)  # validates r and d
     return list(_compositions(r, d))
 
 
@@ -81,6 +85,19 @@ def orbit_size(n: CountVector) -> int:
     return size
 
 
+@lru_cache(maxsize=None)
+def orbit_sizes(r: int, d: int) -> np.ndarray:
+    """orbit_size of each count vector in compositions(r, d), correctly rounded to float64.
+
+    That is the rounding a float divided by orbit_size(n) applies.  Read-only.
+    """
+    factorials = np.array([math.factorial(k) for k in range(r + 1)], dtype=object)
+    exact = factorials[r] // np.prod(factorials[composition_array(r, d)], axis=1)
+    out = exact.astype(np.float64)
+    out.setflags(write=False)
+    return out
+
+
 def sequence_to_counts(seq: Sequence, d: int) -> CountVector:
     """Count the occurrences of each outcome in an ordered sequence."""
     if d < 1:
@@ -93,19 +110,59 @@ def sequence_to_counts(seq: Sequence, d: int) -> CountVector:
     return tuple(counts)
 
 
-def rank(n: CountVector) -> int:
-    """Position of n within compositions(degree(n), len(n))."""
-    validate_counts(n)
-    d = len(n)
-    remaining = sum(n)
-    k = 0
+@lru_cache(maxsize=None)
+def _binomials(r: int, d: int) -> np.ndarray:
+    """table[a, b] = C(a, b) for b < d and a - b < r, the entries ranks reads.
+
+    Each is at most C(r + d - 2, r - 1) <= num_compositions(r, d), so the
+    table fits int64 whenever the compositions of degree r can be listed;
+    that covers every length the oracle and boson routes enumerate and
+    every cone LP that fits in memory.  The entries ranks never reads are
+    0.  Read-only.
+    """
+    a = np.arange(r + d - 1)
+    table = np.zeros((r + d - 1, d), dtype=np.int64)
+    table[:, 0] = a < r
+    for b in range(1, d):
+        # C(a, b) = C(0, b-1) + ... + C(a-1, b-1), and every addend is itself read
+        table[1:, b] = np.cumsum(table[:-1, b - 1])
+        table[a - b >= r, b] = 0
+    table.setflags(write=False)
+    return table
+
+
+def ranks(counts: np.ndarray, r: int) -> np.ndarray:
+    """Position of each row of counts (degree-r count vectors) in compositions(r, d).
+
+    Lex-descending order puts before n every vector sharing n's first i
+    entries and exceeding n_i at entry i; with R left to place over the
+    remaining slots once n_i is placed, there are C(R - 1 + slots, slots)
+    of them.  The rows are not validated.
+    """
+    d = counts.shape[1]
+    table = _binomials(r, d)
+    out = np.zeros(len(counts), dtype=np.int64)
+    top = r + d - 1  # R - 1 + slots before any entry is placed
     for i in range(d - 1):
-        # count vectors whose i-th coordinate exceeds n[i] (prefix fixed) come first
-        slots = d - i - 1
-        for v in range(remaining, n[i], -1):
-            k += num_compositions(remaining - v, slots)
-        remaining -= n[i]
-    return k
+        # placing n_i takes n_i from R and one slot; C(top, slots) is 0 when
+        # top < slots, that is when nothing exceeds n_i
+        top = top - counts[:, i] - 1
+        out += table[top, d - 1 - i]
+    return out
+
+
+def scatter_by_rank(entries: dict[CountVector, float], r: int, d: int) -> np.ndarray:
+    """A map of degree-r count vectors as a vector in compositions(r, d) order, 0 if absent."""
+    out = np.zeros(num_compositions(r, d))
+    keys = np.array(list(entries), dtype=np.int64).reshape(-1, d)
+    out[ranks(keys, r)] = list(entries.values())
+    return out
+
+
+def rank(n: CountVector) -> int:
+    """Position of n within compositions(sum(n), len(n))."""
+    validate_counts(n)
+    return int(ranks(np.array([n], dtype=np.int64), sum(n))[0])
 
 
 def unrank(k: int, r: int, d: int) -> CountVector:
@@ -135,16 +192,6 @@ def sequences(r: int, d: int) -> list[Sequence]:
     for _ in range(r):
         out = [seq + (t,) for seq in out for t in range(d)]
     return out
-
-
-def sequence_index(seq: Sequence, d: int) -> int:
-    """Row-major position of a sequence in the d**r tensor basis."""
-    idx = 0
-    for t in seq:
-        if not 0 <= t < d:
-            raise DomainError(f"outcome {t} out of range [0, {d})")
-        idx = idx * d + t
-    return idx
 
 
 def orbit_sequences(n: CountVector) -> list[Sequence]:

@@ -22,11 +22,26 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
+
+import numpy as np
+
 from .config import DEFAULT_TOLERANCES
 from .errors import DomainError
-from .multiindex import CountVector, compositions, orbit_size, validate_counts
+from .multiindex import (
+    CountVector,
+    composition_array,
+    compositions,
+    orbit_size,
+    orbit_sizes,
+    ranks,
+    scatter_by_rank,
+    validate_counts,
+)
 
 _PRUNE = DEFAULT_TOLERANCES.coefficient_prune
+_LIFT_BLOCK = 1 << 16  # (lift composition, term) products scattered per block
 
 
 @dataclass(frozen=True)
@@ -59,6 +74,21 @@ class SimplexPolynomial:
                 cleaned[n] = cleaned.get(n, 0.0) + c
         object.__setattr__(self, "terms", cleaned)
 
+    @classmethod
+    def _checked(cls, d: int, degree: int, terms: dict, vector: np.ndarray):
+        """Wrap valid, finite, pruned terms and their coefficient_vector, without re-checking."""
+        g = object.__new__(cls)
+        vector.setflags(write=False)
+        g.__dict__.update(d=d, degree=degree, terms=terms, coefficient_vector=vector)
+        return g
+
+    @cached_property
+    def coefficient_vector(self) -> np.ndarray:
+        """Coefficients in compositions(degree, d) order, 0 where there is no term; read-only."""
+        out = scatter_by_rank(self.terms, self.degree, self.d)
+        out.setflags(write=False)
+        return out
+
     def coefficient(self, n: CountVector) -> float:
         return self.terms.get(tuple(n), 0.0)
 
@@ -83,7 +113,7 @@ def homogenize(g: SimplexPolynomial, target_degree: int) -> SimplexPolynomial:
     """Multiply g by (theta_1+...+theta_d)**(target_degree - degree).
 
     On the simplex the values are unchanged; the result is homogeneous of
-    the target degree.
+    the target degree.  A lifted coefficient past the float range raises DomainError.
     """
     lift = target_degree - g.degree
     if lift < 0:
@@ -92,14 +122,31 @@ def homogenize(g: SimplexPolynomial, target_degree: int) -> SimplexPolynomial:
         )
     if lift == 0:
         return g
-    terms: dict[CountVector, float] = {}
-    for m in compositions(lift, g.d):
-        # multinomial weight of theta^m inside (sum theta)^lift
-        w = orbit_size(m)
-        for n, c in g.terms.items():
-            key = tuple(a + b for a, b in zip(n, m))
-            terms[key] = terms.get(key, 0.0) + c * w
-    return SimplexPolynomial(g.d, target_degree, terms)
+    d = g.d
+    term_counts = np.array(list(g.terms), dtype=np.int64).reshape(-1, d)
+    coeffs = np.fromiter(g.terms.values(), dtype=float, count=len(g.terms))
+    lift_counts, weights = composition_array(lift, d), orbit_sizes(lift, d)
+    comps = compositions(target_degree, d)
+    values = np.zeros(len(comps))
+    # one product per lift composition m (weight orbit_size(m), its multinomial)
+    # and term n, m-major: np.add.at adds them in that order, block after block,
+    # so every lifted coefficient rounds as the sum over m, then over n, does
+    step = max(1, _LIFT_BLOCK // max(1, len(coeffs)))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        for start in range(0, len(weights), step):
+            block = slice(start, start + step)
+            keys = (lift_counts[block, None, :] + term_counts[None, :, :]).reshape(-1, d)
+            products = (weights[block, None] * coeffs[None, :]).ravel()
+            np.add.at(values, ranks(keys, target_degree), products)
+    if not np.isfinite(values).all():
+        raise DomainError(
+            f"lifting to length s={target_degree} overflows: "
+            "a lifted coefficient exceeds the float range"
+        )
+    kept = np.abs(values) >= _PRUNE
+    values[~kept] = 0.0
+    terms = dict(zip(compress(comps, kept.tolist()), values[kept].tolist()))
+    return SimplexPolynomial._checked(d, target_degree, terms, values)
 
 
 def evaluate(g: SimplexPolynomial, theta) -> float:
@@ -213,8 +260,11 @@ def from_json(text: str) -> SimplexPolynomial:
     if not isinstance(doc, dict) or "d" not in doc or "terms" not in doc:
         raise DomainError('polynomial JSON must be {"d": ..., "terms": [...]}')
     d = doc["d"]
-    if not isinstance(d, int) or d < 1:
+    # type(), not isinstance: JSON true and false arrive as bool, an int subclass
+    if type(d) is not int or d < 1:
         raise DomainError(f"d must be a positive integer, got {d!r}")
+    if not isinstance(doc["terms"], list):
+        raise DomainError(f"terms must be a list, got {doc['terms']!r}")
     terms: dict[CountVector, float] = {}
     deg = None
     for item in doc["terms"]:
@@ -224,11 +274,15 @@ def from_json(text: str) -> SimplexPolynomial:
         if (
             not isinstance(counts, list)
             or len(counts) != d
-            or any(not isinstance(v, int) or v < 0 for v in counts)
+            or any(type(v) is not int or v < 0 for v in counts)
         ):
             raise DomainError(
                 f"term {item!r}: counts must be {d} non-negative integers"
             )
+        try:
+            coeff = float(item["coeff"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"term {item!r}: coeff must be a number") from exc
         n = tuple(counts)
         if deg is None:
             deg = sum(n)
@@ -237,7 +291,7 @@ def from_json(text: str) -> SimplexPolynomial:
                 f"term {item!r} has degree {sum(n)} but earlier terms have degree {deg} "
                 "(terms must be homogeneous)"
             )
-        terms[n] = terms.get(n, 0.0) + float(item["coeff"])
+        terms[n] = terms.get(n, 0.0) + coeff
     return SimplexPolynomial(d, deg if deg is not None else 0, terms)
 
 

@@ -1,12 +1,13 @@
 """Symmetric subspace machinery against literal dense tensor algebra."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from finex.boson import (
     BosonDensityMatrix,
     OccupationBasis,
-    compose_permutations,
     compress,
     compress_hermitian,
     occupation_diagonal,
@@ -15,7 +16,6 @@ from finex.boson import (
     rho_from_exchangeable,
     simplex_minimum,
     symmetrizer,
-    symmetrizer_from_permutations,
     witness_value,
 )
 from finex.errors import CapacityError, DomainError
@@ -28,7 +28,6 @@ from finex.exchangeable import (
 from finex.multiindex import (
     compositions,
     orbit_size,
-    sequence_index,
     sequence_to_counts,
     sequences,
 )
@@ -41,6 +40,22 @@ from finex.polynomial import (
     sum_of_squares,
     to_diagonal_observable,
 )
+
+
+def compose_permutations(pi, sigma):
+    """The permutation whose matrix is permutation_matrix(pi) @ permutation_matrix(sigma)."""
+    return tuple(sigma[pi[i]] for i in range(len(pi)))
+
+
+def symmetrizer_from_permutations(s, d):
+    """Literal (1/s!) sum over all s! permutation matrices."""
+    perms = list(permutations(range(s)))
+    return sum(permutation_matrix(perm, d) for perm in perms) / len(perms)
+
+
+def sequence_index(seq, d):
+    """Row-major position of a sequence in the d**s tensor basis."""
+    return int(np.ravel_multi_index(seq, (d,) * len(seq)))
 
 
 def dense_diagonal_observable(obs):

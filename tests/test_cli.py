@@ -80,6 +80,38 @@ class TestBound:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "doc, complaint",
+        [
+            ({"d": 2, "terms": [{"counts": [2, 0], "coeff": "abc"}]}, "coeff must be a number"),
+            ({"d": 2, "terms": 5}, "terms must be a list"),
+            ({"d": 2, "terms": [{"counts": [True, True], "coeff": 1.0}]}, "non-negative integers"),
+        ],
+        ids=["string-coeff", "non-list-terms", "boolean-counts"],
+    )
+    def test_malformed_observable_exits_2(self, tmp_path, capsys, doc, complaint):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bound", "--observable", str(path), "--s", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert complaint in captured.err
+
+    def test_lifting_overflow_exits_2_naming_the_length(self, tmp_path, capsys):
+        # both inputs are finite; their lift to s=4 is not
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"d": 3, "terms": [{"counts": [2, 0, 0], "coeff": 1e308},'
+            ' {"counts": [1, 1, 0], "coeff": -1e308}]}'
+        )
+        assert main(["bound", "--observable", str(path), "--s", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "s=4" in captured.err and "overflow" in captured.err
+        assert "(" not in captured.err  # no count vector, lifted or not
+
     def test_missing_file_exits_2(self):
         assert main(["bound", "--observable", "/nonexistent.json", "--s", "2"]) == 2
 

@@ -2,16 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from finex.errors import DomainError
 from finex.multiindex import (
+    _binomials,
+    composition_array,
     compositions,
     num_compositions,
     orbit_sequences,
     orbit_size,
+    orbit_sizes,
     rank,
-    sequence_index,
+    ranks,
+    scatter_by_rank,
     sequence_to_counts,
     sequences,
     unrank,
@@ -84,11 +89,63 @@ def test_rank_first_element():
 
 def test_rank_unrank_roundtrip():
     for d in range(1, 7):
-        for r in range(0, 7):
+        for r in range(0, 9):
             comps = compositions(r, d)
             for k, n in enumerate(comps):
                 assert rank(n) == k
                 assert unrank(k, r, d) == n
+            positions = ranks(np.array(comps, dtype=np.int64).reshape(-1, d), r)
+            assert positions.tolist() == list(range(len(comps)))
+
+
+def test_binomial_table_holds_what_ranks_reads():
+    for r in range(0, 13):
+        for d in range(1, 7):
+            expected = [
+                [math.comb(a, b) if a - b < r else 0 for b in range(d)]
+                for a in range(r + d - 1)
+            ]
+            assert _binomials(r, d).tolist() == expected
+
+
+def test_rank_at_large_degree():
+    # (0, 3, R): r(r+1)/2 vectors start above 0, then r - 3 have a middle entry above 3
+    r = 10**6 + 3
+    assert rank((0, 3, 10**6)) == r * (r + 1) // 2 + r - 3
+
+
+def test_rank_validates():
+    for bad in [(), (1, -1), (1.0, 1)]:
+        with pytest.raises(DomainError):
+            rank(bad)
+
+
+def test_composition_arrays_follow_the_enumeration():
+    for d in range(1, 7):
+        for r in range(0, 9):
+            comps = compositions(r, d)
+            assert composition_array(r, d).tolist() == [list(n) for n in comps]
+            sizes = orbit_sizes(r, d)
+            assert sizes.dtype == np.float64
+            assert sizes.tolist() == [float(orbit_size(n)) for n in comps]
+            for cached in (composition_array(r, d), orbit_sizes(r, d)):
+                with pytest.raises(ValueError):
+                    cached[0] = 0
+
+
+def test_orbit_sizes_round_like_float_division():
+    # past 2**53 each float is the correctly rounded exact integer
+    for r, d in [(60, 3), (40, 4)]:
+        exact = [orbit_size(n) for n in compositions(r, d)]
+        assert max(exact) > 2**53
+        sizes = orbit_sizes(r, d)
+        assert sizes.tolist() == [float(x) for x in exact]
+        assert (1.0 / sizes).tolist() == [1.0 / x for x in exact]
+
+
+def test_scatter_by_rank():
+    assert scatter_by_rank({(1, 1): 2.5, (0, 2): -1.0}, 2, 2).tolist() == [0.0, 2.5, -1.0]
+    assert scatter_by_rank({}, 3, 2).tolist() == [0.0] * 4
 
 
 def test_unrank_out_of_range():
@@ -102,7 +159,7 @@ def test_sequences_and_index():
     seqs = sequences(2, 2)
     assert seqs == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for i, seq in enumerate(sequences(3, 3)):
-        assert sequence_index(seq, 3) == i
+        assert np.ravel_multi_index(seq, (3, 3, 3)) == i
 
 
 def test_orbit_sequences():

@@ -67,6 +67,12 @@ class TestHomogenize:
         with pytest.raises(DomainError):
             homogenize(two_face_witness(), 1)
 
+    def test_overflow_names_the_length_not_a_term(self):
+        g = SimplexPolynomial(3, 2, {(2, 0, 0): 1e308, (1, 1, 0): -1e308})
+        with pytest.raises(DomainError, match=r"s=4 overflows") as info:
+            homogenize(g, 4)
+        assert "(" not in str(info.value)
+
     def test_commutes_with_evaluation_on_simplex(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -229,6 +235,21 @@ class TestJson:
             from_json("{not json")
         with pytest.raises(DomainError):
             from_json('{"terms": []}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"d": 2, "terms": [{"counts": [2, 0], "coeff": "abc"}]}',
+            '{"d": 2, "terms": [{"counts": [2, 0], "coeff": null}]}',
+            '{"d": 2, "terms": [{"counts": [2, 0], "coeff": 1%s}]}' % ("0" * 400),
+            '{"d": 2, "terms": {"counts": [2, 0], "coeff": 1.0}}',
+            '{"d": 2, "terms": [{"counts": [true, true], "coeff": 1.0}]}',
+            '{"d": true, "terms": [{"counts": [2], "coeff": 1.0}]}',
+        ],
+    )
+    def test_rejects_non_numbers_as_domain_errors(self, text):
+        with pytest.raises(DomainError):
+            from_json(text)
 
 
 class TestConstruction:
