@@ -302,11 +302,10 @@ def dump(cone_lp: ConeMembershipLP) -> str:
     ]
     a, b = cone_lp.lp.a, cone_lp.lp.b
     for i, e in enumerate(cone_lp.rows):
-        parts = []
-        for j, n in enumerate(cone_lp.u_columns):
-            coeff = a[i, j]
-            if coeff:
-                parts.append(f"{coeff:+g}*u{list(n)}")
+        parts = [
+            f"{a[i, j]:+g}*u{list(cone_lp.u_columns[j])}"
+            for j in np.flatnonzero(a[i, :-1])
+        ]
         if a[i, -1]:
             parts.append(f"{a[i, -1]:+g}*c")
         label = "".join(f"t{k+1}^{p}" for k, p in enumerate(e) if p) or "1"

@@ -31,6 +31,7 @@ from .multiindex import (
     orbit_sizes,
     rank,
     ranks,
+    require_int,
     scatter_by_rank,
     unrank,
 )
@@ -256,6 +257,20 @@ def to_json(rho: BosonDensityMatrix) -> str:
     return json.dumps(doc)
 
 
+def _matrix_entry(entry) -> complex:
+    # type(), not isinstance: JSON true and false arrive as bool, an int subclass
+    if (
+        not isinstance(entry, list)
+        or len(entry) != 2
+        or any(type(part) not in (int, float) for part in entry)
+    ):
+        raise DomainError(f"matrix entry {entry!r} must be a pair [re, im] of numbers")
+    try:
+        return complex(float(entry[0]), float(entry[1]))
+    except OverflowError as exc:
+        raise DomainError(f"matrix entry {entry!r} exceeds the float range") from exc
+
+
 def from_json(text: str) -> BosonDensityMatrix:
     """Parse the JSON density-matrix format; validates PSD and unit trace."""
     try:
@@ -265,16 +280,25 @@ def from_json(text: str) -> BosonDensityMatrix:
     for key in ("d", "s", "matrix"):
         if not isinstance(doc, dict) or key not in doc:
             raise DomainError('density-matrix JSON must carry "d", "s", "matrix"')
-    basis = OccupationBasis(doc["d"], doc["s"])
-    if "basis" in doc and [tuple(n) for n in doc["basis"]] != list(basis.elements):
-        raise DomainError("basis listing does not match the occupation rank order")
+    d = require_int(doc["d"], "d", 1)
+    s = require_int(doc["s"], "s", 0)
     raw = doc["matrix"]
-    dim = basis.dimension
-    if len(raw) != dim or any(len(row) != dim for row in raw):
-        raise DomainError(f"matrix must be {dim}x{dim} for d={doc['d']}, s={doc['s']}")
-    matrix = np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in raw]
-    )
+    if not isinstance(raw, list) or any(
+        not isinstance(row, list) or len(row) != len(raw) for row in raw
+    ):
+        raise DomainError("matrix must be a square list of rows")
+    # there are at least s+d-1 count vectors unless s == 0 or d == 1; testing
+    # that first refuses a huge d or s without computing a huge binomial
+    if (min(s, d - 1) > 0 and s + d - 1 > len(raw)) or num_compositions(s, d) != len(raw):
+        raise DomainError(
+            f"a {len(raw)}x{len(raw)} matrix does not fit d={d}, s={s}: "
+            "it needs one row per count vector of degree s"
+        )
+    basis = OccupationBasis(d, s)
+    # a plain comparison: a listing that is not a list of lists differs too
+    if "basis" in doc and doc["basis"] != [list(n) for n in basis.elements]:
+        raise DomainError("basis listing does not match the occupation rank order")
+    matrix = np.array([[_matrix_entry(entry) for entry in row] for row in raw])
     return BosonDensityMatrix(basis, matrix)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -51,16 +52,24 @@ def _round_floats(obj):
 
 
 def _agreement_tolerance(flag_value: float | None) -> float:
-    """Precedence: --tol flag, then FINEX_TOL, then the built-in default."""
+    """Precedence: --tol flag, then FINEX_TOL, then the built-in default.
+
+    The tolerance must be finite and non-negative: a NaN would make every
+    agreement test false and print non-standard JSON.
+    """
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get("FINEX_TOL")
-    if env is not None:
+        source, tol = "--tol", flag_value
+    elif "FINEX_TOL" in os.environ:
+        source = f"FINEX_TOL={os.environ['FINEX_TOL']!r}"
         try:
-            return float(env)
+            tol = float(os.environ["FINEX_TOL"])
         except ValueError as exc:
-            raise DomainError(f"FINEX_TOL={env!r} is not a number") from exc
-    return DEFAULT_TOLERANCES.method_agreement
+            raise DomainError(f"{source} is not a number") from exc
+    else:
+        return DEFAULT_TOLERANCES.method_agreement
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"{source} must be a finite number >= 0, got {tol}")
+    return tol
 
 
 def _load_observable(path: str) -> SimplexPolynomial:

@@ -4,6 +4,8 @@ Every numerical threshold used anywhere in the package lives in this one
 frozen dataclass, so there is a single tuning point.  The defaults are the
 contract values quoted in error messages and enforced by the test suite;
 override them only by constructing a new record and passing it explicitly.
+The eigensolver has no iteration knob: LAPACK runs its own iteration, and
+finex bounds only the input's Hermiticity and the result's residual.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,6 @@ class Tolerances:
 
     # eigensolver
     eigen_residual: float = 1e-9        # ||A v - lambda v|| <= this * ||A||_F
-    eigen_sweep_cap: int = 100
     hermiticity: float = 1e-12
 
     # distributions

@@ -27,6 +27,7 @@ from .multiindex import (
     orbit_sequences,
     orbit_size,
     orbit_sizes,
+    require_int,
     scatter_by_rank,
     sequence_to_counts,
     unrank,
@@ -283,10 +284,24 @@ def from_json(text: str) -> ExchangeableDistribution:
     for key in ("d", "r", "orbits"):
         if not isinstance(doc, dict) or key not in doc:
             raise DomainError('distribution JSON must be {"d", "r", "orbits"}')
+    d = require_int(doc["d"], "d", 1)
+    r = require_int(doc["r"], "r", 0)
+    orbits = doc["orbits"]
+    if not isinstance(orbits, list):
+        raise DomainError(f"orbits must be a list, got {orbits!r}")
     orbit_probs: dict[CountVector, float] = {}
-    for item in doc["orbits"]:
+    for item in orbits:
         if not isinstance(item, dict) or "counts" not in item or "prob" not in item:
             raise DomainError(f'orbit {item!r} must be {{"counts": [...], "prob": ...}}')
-        n = tuple(item["counts"])
-        orbit_probs[n] = orbit_probs.get(n, 0.0) + float(item["prob"])
-    return ExchangeableDistribution(doc["d"], doc["r"], orbit_probs)
+        counts, prob = item["counts"], item["prob"]
+        if not isinstance(counts, list) or any(type(v) is not int for v in counts):
+            raise DomainError(f"orbit {item!r}: counts must be a list of integers")
+        if type(prob) not in (int, float):
+            raise DomainError(f"orbit {item!r}: prob must be a number")
+        try:
+            prob = float(prob)
+        except OverflowError as exc:
+            raise DomainError(f"orbit {item!r}: prob exceeds the float range") from exc
+        n = tuple(counts)
+        orbit_probs[n] = orbit_probs.get(n, 0.0) + prob
+    return ExchangeableDistribution(d, r, orbit_probs)

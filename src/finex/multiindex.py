@@ -35,6 +35,17 @@ def validate_counts(n: CountVector) -> None:
         raise DomainError(f"count vector entries must be non-negative integers: {n}")
 
 
+def require_int(value, name: str, minimum: int) -> int:
+    """Return value if it is an integer >= minimum, else raise DomainError.
+
+    For parsed JSON: type(), not isinstance, because JSON true and false
+    arrive as bool, an int subclass.
+    """
+    if type(value) is not int or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def num_compositions(r: int, d: int) -> int:
     """Number of count vectors of degree r over d outcomes: C(r+d-1, d-1)."""
     if d < 1:

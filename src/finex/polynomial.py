@@ -36,6 +36,7 @@ from .multiindex import (
     orbit_size,
     orbit_sizes,
     ranks,
+    require_int,
     scatter_by_rank,
     validate_counts,
 )
@@ -259,10 +260,7 @@ def from_json(text: str) -> SimplexPolynomial:
         raise DomainError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "d" not in doc or "terms" not in doc:
         raise DomainError('polynomial JSON must be {"d": ..., "terms": [...]}')
-    d = doc["d"]
-    # type(), not isinstance: JSON true and false arrive as bool, an int subclass
-    if type(d) is not int or d < 1:
-        raise DomainError(f"d must be a positive integer, got {d!r}")
+    d = require_int(doc["d"], "d", 1)
     if not isinstance(doc["terms"], list):
         raise DomainError(f"terms must be a list, got {doc['terms']!r}")
     terms: dict[CountVector, float] = {}

@@ -1,6 +1,7 @@
 """The cone-membership LP: assembly rows, the 21-row instance, oracle agreement."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -161,16 +162,56 @@ class TestAssemblyMatchesReduction:
         assert solve_lp(second)[0] == pytest.approx(oracle_bound(g, 4).value, abs=1e-9)
 
 
-# perfbench/tracer.py replaces these module globals of finex.bernstein_lp,
-# so each must stay bound there even where bernstein_lp no longer calls it
-TRACED_NAMES = [
-    "compositions",
-    "homogenize",
-    "reduce_to_free_vars",
-    "oracle_bound",
-    "assemble",
-    "simplex_solve",
+# perfbench/tracer.py replaces these attributes (module globals, and two
+# methods on their classes), so each must stay bound where it is, even
+# where its owner no longer calls it
+TRACED = {
+    "finex.bernstein_lp": [
+        "compositions",
+        "homogenize",
+        "reduce_to_free_vars",
+        "oracle_bound",
+        "assemble",
+        "simplex_solve",
+    ],
+    "finex.cli": [
+        "polynomial_from_json",
+        "compositions",
+        "oracle_bound",
+        "assemble",
+        "lower_bound_lp",
+    ],
+    "finex.polynomial": ["compositions"],
+    "finex.exchangeable": ["compositions", "homogenize"],
+    "finex.boson": [
+        "compositions",
+        "homogenize",
+        "jacobi_eigen",
+        "quantum_bound",
+        "simplex_minimum",
+        "symmetrizer",
+        "permutation_matrix",
+    ],
+    "finex.solvers": ["simplex_solve"],
+    "finex.boson.OccupationBasis": ["dense_isometry"],
+    "finex.boson.BosonDensityMatrix": ["dense"],
+}
+TRACED_NAMES = TRACED["finex.bernstein_lp"]
+OTHER_TRACED = [
+    (owner, name)
+    for owner, names in TRACED.items()
+    if owner != "finex.bernstein_lp"
+    for name in names
 ]
+
+
+def resolve(owner):
+    """The module or class that a dotted finex owner name refers to."""
+    _, module, *classes = owner.split(".")
+    obj = importlib.import_module(f"finex.{module}")
+    for cls in classes:
+        obj = getattr(obj, cls)
+    return obj
 
 
 class TestTracedNames:
@@ -178,19 +219,26 @@ class TestTracedNames:
     def test_name_stays_a_module_attribute(self, name):
         assert callable(getattr(finex.bernstein_lp, name, None))
 
+    @pytest.mark.parametrize(
+        "owner, name", OTHER_TRACED, ids=[f"{o}.{n}" for o, n in OTHER_TRACED]
+    )
+    def test_other_owners_keep_the_name(self, owner, name):
+        assert callable(getattr(resolve(owner), name, None))
+
     def test_list_covers_the_tracer(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
         if not path.exists():
             pytest.skip("perfbench is not part of this checkout")
         tree = ast.parse(path.read_text())
         wrapped = {
-            node.elts[2].value
+            (ast.unparse(node.elts[1]), node.elts[2].value)
             for node in ast.walk(tree)
             if isinstance(node, ast.Tuple)
             and len(node.elts) == 3
-            and ast.unparse(node.elts[1]) == "finex.bernstein_lp"
+            and ast.unparse(node.elts[1]).startswith("finex.")
         }
-        assert wrapped and wrapped <= set(TRACED_NAMES)
+        listed = {(owner, name) for owner, names in TRACED.items() for name in names}
+        assert wrapped == listed
 
 
 class TestStructuralBasis:

@@ -1,5 +1,6 @@
 """Symmetric subspace machinery against literal dense tensor algebra."""
 
+import json
 from itertools import permutations
 
 import numpy as np
@@ -351,6 +352,15 @@ class TestBosonDensityMatrix:
         with pytest.raises(DomainError):
             BosonDensityMatrix(basis, bad)  # negative eigenvalue
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        basis = OccupationBasis(2, 2)
+        for i, j in [(0, 0), (0, 1)]:
+            m = np.diag([1.0, 0.0, 0.0]).astype(complex)
+            m[i, j] = m[j, i] = bad
+            with pytest.raises(DomainError, match="finite"):
+                BosonDensityMatrix(basis, m)
+
     def test_block_permutation_symmetry(self):
         # dense entries depend only on the orbits of the row and column
         # sequences, so either index may be permuted independently
@@ -427,6 +437,53 @@ class TestDensityMatrixJson:
         )
         with pytest.raises(DomainError):
             from_json(text)
+
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_entry(self, bad):
+        from finex.boson import from_json
+
+        text = (
+            '{"d": 2, "s": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]],'
+            ' [[0.0, 0.0], [%s, 0.0]]]}' % bad
+        )
+        with pytest.raises(DomainError, match="finite"):
+            from_json(text)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"matrix": [[[1.0, 0.0], [0]], [[0.0, 0.0], [0.0, 0.0]]]},
+            {"matrix": [[[1.0, 0.0], "x"], [[0.0, 0.0], [0.0, 0.0]]]},
+            {"matrix": 5},
+            {"matrix": [[[1.0, None], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+            {"d": "2"},
+            {"basis": 7},
+            {"d": 10**7, "s": 10**7},
+        ],
+        ids=[
+            "short-entry",
+            "string-entry",
+            "scalar-matrix",
+            "null-part",
+            "string-d",
+            "scalar-basis",
+            "huge-d-and-s",
+        ],
+    )
+    def test_rejects_malformed_document(self, change):
+        from finex.boson import from_json
+
+        doc = {
+            "d": 2,
+            "s": 1,
+            "basis": [[1, 0], [0, 1]],
+            "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        }
+        from_json(json.dumps(doc))  # the unchanged document is a valid state
+        doc.update(change)
+        with pytest.raises(DomainError):
+            from_json(json.dumps(doc))
 
 
 class TestSimplexMinimum:

@@ -174,6 +174,29 @@ class TestBound:
         doc = json.loads(capsys.readouterr().out)
         assert doc["agreement_tolerance"] == 1e-9
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tolerance_flag_exits_2(self, witness_path, capsys, value):
+        # --tol=VALUE: argparse would read a bare -inf as an option
+        argv = ["bound", "--observable", witness_path, "--s", "2", f"--tol={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol must be a finite number >= 0")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tolerance_env_exits_2(self, witness_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("FINEX_TOL", value)
+        assert main(["bound", "--observable", witness_path, "--s", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: FINEX_TOL='{value}' must be a finite")
+        assert main(["verify", "--seed", "0"]) == 2
+
+    def test_zero_tolerance_is_accepted(self, witness_path, capsys):
+        argv = ["bound", "--observable", witness_path, "--s", "2", "--tol", "0"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["agreement_tolerance"] == 0.0
+
 
 class TestCurve:
     def test_six_face_single_point(self, witness_path, tmp_path):
@@ -395,6 +418,38 @@ class TestSample:
 
     def test_bad_urn_exits_2(self):
         assert main(["sample", "--urn", "1,x", "--n", "10"]) == 2
+
+    @pytest.mark.parametrize(
+        "doc, complaint",
+        [
+            ({"d": 2, "r": 2, "orbits": [{"counts": [1, 1], "prob": "abc"}]}, "prob must be a number"),
+            ({"d": 2, "r": 2, "orbits": [{"counts": [1, 1], "prob": None}]}, "prob must be a number"),
+            ({"d": 2, "r": 2, "orbits": 5}, "orbits must be a list"),
+            ({"d": 2, "r": 2, "orbits": [{"counts": [True, True], "prob": 1.0}]}, "counts must be"),
+            ({"d": True, "r": 1, "orbits": [{"counts": [1], "prob": 1.0}]}, "d must be"),
+            ({"d": 2.0, "r": 2, "orbits": [{"counts": [1, 1], "prob": 1.0}]}, "d must be"),
+            ({"d": 2, "r": False, "orbits": [{"counts": [0, 0], "prob": 1.0}]}, "r must be"),
+            ({"d": 2, "r": 2.5, "orbits": [{"counts": [1, 1], "prob": 1.0}]}, "r must be"),
+        ],
+        ids=[
+            "string-prob",
+            "null-prob",
+            "non-list-orbits",
+            "boolean-counts",
+            "boolean-d",
+            "float-d",
+            "boolean-r",
+            "float-r",
+        ],
+    )
+    def test_malformed_distribution_exits_2(self, tmp_path, capsys, doc, complaint):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sample", "--dist", str(path), "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert complaint in captured.err
 
 
 class TestCoinDemo:

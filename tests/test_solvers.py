@@ -17,7 +17,6 @@ from finex.solvers import (
     UNBOUNDED,
     LinearProgram,
     jacobi_eigen,
-    min_eigenvalue,
     require_hermitian,
     simplex_solve,
 )
@@ -227,7 +226,7 @@ class TestJacobi:
     def test_rayleigh_lower_bound(self):
         rng = np.random.default_rng(8)
         a = random_hermitian(rng, 15)
-        smallest = min_eigenvalue(a)
+        smallest = jacobi_eigen(a).eigenvalues[0]
         for _ in range(100):
             x = rng.normal(size=15) + 1j * rng.normal(size=15)
             x /= np.linalg.norm(x)
@@ -238,6 +237,18 @@ class TestJacobi:
             jacobi_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(DomainError):
             require_hermitian(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a NaN fails every comparison, so it must be caught before them
+        a = np.eye(3, dtype=complex)
+        a[1, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            jacobi_eigen(a)
+        a = np.eye(3, dtype=complex)
+        a[0, 2] = a[2, 0] = complex(0.0, bad)
+        with pytest.raises(DomainError, match="finite"):
+            jacobi_eigen(a)
 
     def test_real_symmetric(self):
         rng = np.random.default_rng(9)
