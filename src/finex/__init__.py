@@ -5,7 +5,8 @@ minimum eigenvalue and a cone-membership linear program.  The first two
 read one vector of urn values (exchangeable.urn_values), which is also
 the compressed boson observable's diagonal: the classical/quantum
 equivalence written out, so they agree by construction.  The cone LP is
-computed independently.
+computed independently, from the observable itself and never its lift,
+and writes no dense constraint matrix.
 """
 
 from .boson import (

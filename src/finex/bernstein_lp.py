@@ -23,28 +23,25 @@ builds it once per shape and caches it: the u-block's off-diagonal
 entries as read-only (row, column, weight) arrays (O(nnz), never a dense
 matrix), the same entries grouped by the reduced degree of their row and
 of their column, so each triangular solve is s scatters, and q, c's
-column in the u-block basis.  `assemble` still writes a fresh dense A
-from those entries on every call, and b is A's u-block times the lifted
-coefficients, since the reduction is linear."""
+column in the u-block basis.  b is g's own reduction, not its lift's
+((sum theta)^(s-k) reduces to 1), and the certificate is evaluated from
+the same cached entries, so the solve writes no dense A;
+ConeMembershipLP.lp writes one on first read, for dump and the tests."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError, SolverFailure
-from .exchangeable import (
-    BoundResult,
-    oracle_bound,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
-    oracle_bound_lifted,
-)
+from .exchangeable import BoundResult, oracle_bound
 from .multiindex import CountVector, composition_array, compositions, orbit_sizes, ranks
 from .polynomial import (
     SimplexPolynomial,
-    homogenize,
+    homogenize,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
     reduce_to_free_vars,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
 )
 from .solvers import (
@@ -59,14 +56,25 @@ _PRUNE = DEFAULT_TOLERANCES.coefficient_prune
 
 @dataclass
 class ConeMembershipLP:
-    """Assembled equality system: columns u_n (non-negative) then c (free)."""
+    """Equality system: columns u_n (non-negative) then c (free); b by row."""
 
     d: int
     s: int
     u_columns: list[CountVector]
     rows: list[tuple[int, ...]]  # reduced-monomial exponent labelling each row
-    lp: LinearProgram
-    lifted: SimplexPolynomial = field(repr=False)
+    b: np.ndarray
+
+    @cached_property
+    def lp(self) -> LinearProgram:
+        """The system as a dense LinearProgram, written on first read; shares b."""
+        st = _structure(self.d, self.s)
+        m = len(self.b)
+        a = np.eye(m, m + 1)
+        a[st.rows, st.cols] = st.weights
+        # the constant c contributes only to the constant-monomial row
+        a[m - 1, m] = 1.0
+        is_c = np.arange(m + 1) == m  # c is the one free column and the objective
+        return LinearProgram(a, self.b, is_c.astype(float), is_c)
 
 
 @dataclass(frozen=True)
@@ -162,39 +170,22 @@ def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
     Rows are indexed by the reduced monomials theta_1^e1 ... theta_{d-1}^e_{d-1};
     the map n -> (n_1, ..., n_{d-1}) is a bijection from degree-s count
     vectors onto exponents with total degree <= s, so there are exactly
-    C(s+d-1, d-1) rows, in the order of compositions(s, d).  A is written
-    fresh from the cached structure on every call; b is the reduction of
-    the lifted observable, which is linear, so b = A_u @ lifted.
+    C(s+d-1, d-1) rows, in the order of compositions(s, d).  b is g's
+    reduction (the cached degree-k structure on its coefficients, k =
+    g.degree), pruned and placed at the rows (e, s - |e|); no dense A.
     """
     if s < g.degree:
         raise DomainError(f"sequence length {s} < polynomial degree {g.degree}")
-    d = g.d
-    st = _structure(d, s)
+    d, k = g.d, g.degree
+    x = g.coefficient_vector
+    st = _structure(d, k)
+    reduced = x + np.bincount(st.rows, weights=st.weights * x[st.cols], minlength=len(x))
+    reduced[np.abs(reduced) < _PRUNE] = 0.0
+    heads = composition_array(k, d)[:, :-1]
     comps = compositions(s, d)
-    m = len(comps)
-
-    a = np.zeros((m, m + 1))
-    a[st.rows, st.cols] = st.weights
-    a[np.arange(m), np.arange(m)] = 1.0
-    # the constant c contributes only to the constant-monomial row
-    a[m - 1, m] = 1.0
-
-    lifted = homogenize(g, s)
-    b = a[:, :m] @ lifted.coefficient_vector
-    b[np.abs(b) < _PRUNE] = 0.0
-
-    objective = np.zeros(m + 1)
-    objective[m] = 1.0
-    free = np.zeros(m + 1, dtype=bool)
-    free[m] = True
-    return ConeMembershipLP(
-        d=d,
-        s=s,
-        u_columns=comps,
-        rows=[n[: d - 1] for n in comps],
-        lp=LinearProgram(a, b, objective, free),
-        lifted=lifted,
-    )
+    b = np.zeros(len(comps))
+    b[ranks(np.column_stack([heads, s - heads.sum(axis=1)]), s)] = reduced
+    return ConeMembershipLP(d, s, comps, [n[: d - 1] for n in comps], b)
 
 
 def _structural_solve(
@@ -210,13 +201,15 @@ def _structural_solve(
     cached with the structure.  Entering c, the ratio test makes the
     column with the smallest p_j / q_j leave.  The dual B^T y = e_j / q_j
     then gives every u column a reduced cost <= 0 and c exactly 0, so the
-    pivot is optimal; the pair is validated against the assembled a and b
-    like any other certificate.
+    pivot is optimal.  The pair is validated like any other certificate;
+    A x and y A are summed from the cached entries before b and the
+    objective are subtracted (subtracting b first misses the 1e-8 primal
+    contract on coefficients from 1e-6 to 1e12).
     Returns (optimal value, primal, dual, residuals).
     """
-    lp = cone_lp.lp
     st = _structure(cone_lp.d, cone_lp.s)
-    p, q = _forward_solve(st.forward, lp.b), st.q
+    b, q = cone_lp.b, st.q
+    p = _forward_solve(st.forward, b)
 
     ratios = p / q
     leaving = int(np.argmin(ratios))
@@ -225,12 +218,21 @@ def _structural_solve(
     u[leaving] = 0.0
     primal = np.append(u, c)
 
-    dual = np.zeros(len(q))
+    m = len(b)
+    dual = np.zeros(m)
     dual[leaving] = 1.0 / q[leaving]
     for rows, cols, w in st.backward:
-        dual -= np.bincount(cols, weights=w * dual[rows], minlength=len(dual))
+        dual -= np.bincount(cols, weights=w * dual[rows], minlength=m)
 
-    residuals = certificate_residuals(lp, primal, dual)
+    ax = u + np.bincount(st.rows, weights=st.weights * u[st.cols], minlength=m)
+    ax[-1] += c  # c's column is the constant-monomial row's unit vector
+    # y A: y itself (the identity, then c's column), plus the off-diagonal entries
+    ya = np.append(dual, dual[-1]) + np.bincount(
+        st.cols, weights=st.weights * dual[st.rows], minlength=m + 1
+    )
+    reduced = -ya
+    reduced[m] += 1.0  # objective - y A: the objective is c
+    residuals = certificate_residuals(ax - b, reduced, primal, np.arange(m + 1) == m)
     if not within_tolerances(residuals, tol):
         raise SolverFailure(f"cone LP validation failed: residuals {residuals}", residuals)
     return c, primal, dual, residuals
@@ -244,7 +246,7 @@ def solve_lp(
     The solve starts from the structural basis (the u-block, triangular
     by reduced degree) and needs a single pivot, c entering; the result
     is checked for primal, dual and complementary-slackness residuals
-    against the assembled data, and SolverFailure is raised otherwise.
+    against the cached sparse A and b, and SolverFailure is raised otherwise.
     The dual has one entry per monomial row; paired with the reduction of
     any degree-s monomial it prices that monomial's expectation, which is
     how the optimal dual encodes the minimizing exchangeable distribution.
@@ -262,9 +264,9 @@ def lower_bound_lp(
     optimum must agree with the enumeration oracle within the
     cross-method tolerance.
     """
+    oracle = oracle_bound(g, s)
     cone_lp = assemble(g, s)
     value, primal, dual, residuals = _structural_solve(cone_lp, tolerances)
-    oracle = oracle_bound_lifted(cone_lp.lifted)
     gap = abs(value - oracle.value)
     if gap > tolerances.method_agreement:
         raise SolverFailure(

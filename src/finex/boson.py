@@ -85,7 +85,10 @@ class OccupationBasis:
         return len(self.elements)
 
     def index(self, n: CountVector) -> int:
-        return rank(tuple(n))
+        n = tuple(n)
+        if len(n) != self.d or sum(n) != self.s:
+            raise DomainError(f"count vector {n} does not have degree {self.s} over d={self.d}")
+        return rank(n)
 
     def dense_isometry(self) -> np.ndarray:
         """V with columns (1/sqrt(orbit)) * sum of the orbit's basis vectors."""

@@ -74,9 +74,15 @@ class ExchangeableDistribution:
         object.__setattr__(self, "orbit_probs", cleaned)
 
     def orbit_probability(self, n: CountVector) -> float:
-        return self.orbit_probs.get(tuple(n), 0.0)
+        n = tuple(n)
+        validate_counts(n)
+        if len(n) != self.d or sum(n) != self.r:
+            raise DomainError(f"orbit {n} does not have degree {self.r} over d={self.d}")
+        return self.orbit_probs.get(n, 0.0)
 
     def sequence_probability(self, seq: Sequence) -> float:
+        if len(seq) != self.r:
+            raise DomainError(f"sequence {tuple(seq)} has length {len(seq)}, expected {self.r}")
         n = sequence_to_counts(seq, self.d)
         return self.orbit_probability(n) / orbit_size(n)
 
@@ -215,22 +221,13 @@ def oracle_bound(g: SimplexPolynomial, s: int) -> BoundResult:
     """
     if s < g.degree:
         raise DomainError(f"sequence length {s} < polynomial degree {g.degree}")
-    return oracle_bound_lifted(homogenize(g, s))
-
-
-def oracle_bound_lifted(lifted: SimplexPolynomial) -> BoundResult:
-    """oracle_bound for a polynomial already lifted to the sequence length.
-
-    The length is lifted.degree; callers that hold homogenize(g, s) use
-    this to avoid lifting g a second time.
-    """
-    values = urn_values(lifted)
+    values = urn_values(homogenize(g, s))
     k = int(np.argmin(values))  # the first minimum: the earlier composition wins ties
     return BoundResult(
         value=float(values[k]),
         method="oracle",
-        argmin=unrank(k, lifted.degree, lifted.d),
-        diagnostics={"compositions_evaluated": len(values), "s": lifted.degree},
+        argmin=unrank(k, s, g.d),
+        diagnostics={"compositions_evaluated": len(values), "s": s},
     )
 
 

@@ -121,6 +121,9 @@ def sequence_to_counts(seq: Sequence, d: int) -> CountVector:
     return tuple(counts)
 
 
+_CACHED_BINOMIALS = 1 << 17  # int64 entries (1 MB): larger tables are built per call
+
+
 @lru_cache(maxsize=None)
 def _binomials(r: int, d: int) -> np.ndarray:
     """table[a, b] = C(a, b) for b < d and a - b < r, the entries ranks reads.
@@ -151,7 +154,10 @@ def ranks(counts: np.ndarray, r: int) -> np.ndarray:
     of them.  The rows are not validated.
     """
     d = counts.shape[1]
-    table = _binomials(r, d)
+    if (r + d - 1) * d <= _CACHED_BINOMIALS:
+        table = _binomials(r, d)
+    else:
+        table = _binomials.__wrapped__(r, d)
     out = np.zeros(len(counts), dtype=np.int64)
     top = r + d - 1  # R - 1 + slots before any entry is placed
     for i in range(d - 1):

@@ -344,29 +344,31 @@ def simplex_solve(
     y[flip] *= -1  # undo the row orientation
 
     optimum = float(lp.objective @ x)
-    residuals = certificate_residuals(lp, x, y)
+    residuals = certificate_residuals(lp.a @ x - lp.b, lp.objective - y @ lp.a, x, lp.free)
     if not within_tolerances(residuals, tol):
         return rerun_exact(f"residuals {residuals}")
     return SimplexResult(OPTIMAL, optimum, x, y, iterations, residuals)
 
 
-def certificate_residuals(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> dict:
-    """Residuals of a primal/dual pair against the exact LP data.
+def certificate_residuals(
+    gap: np.ndarray, reduced: np.ndarray, x: np.ndarray, free: np.ndarray
+) -> dict:
+    """Residuals of a primal/dual pair x, y against the exact LP data.
 
-    primal: ||a x - b||_inf; dual: the largest reduced cost on a
+    gap is a x - b and reduced is objective - y a, each formed by the
+    caller.  primal: ||gap||_inf; dual: the largest reduced cost on a
     non-negative column, or |reduced cost| on a free one (clipped at 0);
     complementary_slackness: max |x_j * reduced_cost_j|.  A pair within
     tolerance on all three is optimal, whatever algorithm produced it.
     """
-    reduced = lp.objective - y @ lp.a
     dual_violation = float(
         max(
-            reduced[~lp.free].max(initial=-np.inf),
-            np.abs(reduced[lp.free]).max(initial=0.0),
+            reduced[~free].max(initial=-np.inf),
+            np.abs(reduced[free]).max(initial=0.0),
         )
     )
     return {
-        "primal": float(np.abs(lp.a @ x - lp.b).max(initial=0.0)),
+        "primal": float(np.abs(gap).max(initial=0.0)),
         "dual": max(dual_violation, 0.0),
         "complementary_slackness": float(np.abs(x * reduced).max(initial=0.0)),
     }

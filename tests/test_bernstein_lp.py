@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import finex.bernstein_lp
-from finex.bernstein_lp import assemble, dump, lower_bound_lp, solve_lp
+import finex.exchangeable
+import finex.solvers
+from finex.bernstein_lp import _structural_solve, assemble, dump, lower_bound_lp, solve_lp
+from finex.config import DEFAULT_TOLERANCES
 from finex.errors import DomainError, SolverFailure
 from finex.exchangeable import oracle_bound
 from finex.multiindex import compositions, rank
@@ -22,7 +25,7 @@ from finex.polynomial import (
     sum_of_squares,
     two_face_witness,
 )
-from finex.solvers import OPTIMAL, simplex_solve
+from finex.solvers import OPTIMAL, certificate_residuals, simplex_solve
 
 
 def row_as_dict(cone_lp, row_index):
@@ -268,6 +271,35 @@ class TestStructuralBasis:
             assert reference.status == OPTIMAL
             assert solve_lp(cone_lp)[0] == pytest.approx(reference.optimum, abs=1e-9)
 
+    def test_sparse_residuals_match_the_dense_system(self):
+        rng = np.random.default_rng(1234)
+        for _ in range(20):
+            d = int(rng.integers(1, 4))
+            g = SimplexPolynomial(
+                d, 2, {n: float(rng.uniform(-1, 1)) for n in compositions(2, d)}
+            )
+            cone_lp = assemble(g, int(rng.integers(2, 6)))
+            _, x, y, sparse = _structural_solve(cone_lp, DEFAULT_TOLERANCES)
+            lp = cone_lp.lp
+            dense = certificate_residuals(lp.a @ x - lp.b, lp.objective - y @ lp.a, x, lp.free)
+            assert sparse.keys() == dense.keys()
+            for key in dense:
+                assert abs(sparse[key] - dense[key]) <= 1e-12
+
+    def test_solve_writes_no_dense_system_and_no_lift(self, monkeypatch):
+        # the oracle-agreement check still lifts, through finex.exchangeable
+        def refuse(*args, **kwargs):
+            raise AssertionError("not on the solve path")
+
+        monkeypatch.setattr(finex.bernstein_lp, "homogenize", refuse)
+        monkeypatch.setattr(finex.bernstein_lp, "LinearProgram", refuse)
+        monkeypatch.setattr(finex.solvers, "LinearProgram", refuse)
+        for g, s in [(two_face_witness(), 4), (sum_of_squares(3), 9), (constant(2.0, 1), 3)]:
+            result = lower_bound_lp(g, s)
+            assert result.value == pytest.approx(oracle_bound(g, s).value, abs=1e-9)
+        assert not hasattr(assemble(two_face_witness(), 2), "lifted")
+        assert not hasattr(finex.exchangeable, "oracle_bound_lifted")
+
     def test_matches_general_simplex_on_six_face_witness(self):
         cone_lp = assemble(two_face_witness(), 5)
         reference = simplex_solve(cone_lp.lp)
@@ -275,9 +307,7 @@ class TestStructuralBasis:
         assert solve_lp(cone_lp)[0] == pytest.approx(reference.optimum, abs=1e-9)
 
     def test_lifts_the_observable_once(self, monkeypatch):
-        # the oracle-agreement check reuses the LP's lifted polynomial
-        import finex.exchangeable
-
+        # the LP reads g itself; the one lift is the oracle-agreement check's
         calls = []
 
         def counting(g, s):

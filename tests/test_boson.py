@@ -187,6 +187,11 @@ class TestOccupationBasis:
         assert OccupationBasis(6, 2).dimension == 21
         assert OccupationBasis(6, 5).dimension == 252
 
+    @pytest.mark.parametrize("n", [(5, 0), (2, 0), (0, 0, 9), (1, 0, 0), (1, 1, 0, 0), (3, -1, 0)])
+    def test_index_rejects_wrong_shape(self, n):
+        with pytest.raises(DomainError):
+            OccupationBasis(3, 2).index(n)
+
     def test_isometry_spans_symmetrizer_range(self):
         for d, s in [(2, 2), (2, 3), (3, 2), (3, 3)]:
             v = OccupationBasis(d, s).dense_isometry()

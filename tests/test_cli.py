@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from finex.cli import main
 from finex.errors import SolverFailure
 from finex.exchangeable import from_sequence_probs, to_json as dist_to_json
-from finex.polynomial import two_face_witness, to_json as poly_to_json
+from finex.polynomial import SimplexPolynomial, two_face_witness, to_json as poly_to_json
 
 
 @pytest.fixture
@@ -139,6 +140,21 @@ class TestBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "residuals" in captured.err
+
+    def test_large_coefficient_range_agrees(self, tmp_path, capsys):
+        # 18 orders of magnitude between the coefficients
+        path = tmp_path / "wide.json"
+        path.write_text(
+            '{"d": 3, "terms": [{"counts": [2, 0, 0], "coeff": 1e12},'
+            ' {"counts": [1, 1, 0], "coeff": -1e-6},'
+            ' {"counts": [0, 2, 0], "coeff": 1.0}]}'
+        )
+        assert main(["bound", "--observable", str(path), "--s", "4", "--method", "all"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [b["method"] for b in doc["bounds"]] == ["oracle", "lp", "boson"]
+        assert doc["agree"] is True
+        for b in doc["bounds"]:
+            assert b["value"] == pytest.approx(-1e-6 / 12, rel=1e-9)
 
     def test_dump_lp(self, witness_path, capsys):
         assert (
@@ -330,6 +346,51 @@ class TestCurve:
             )
             == 2
         )
+
+
+def psd_quadratic(d, seed):
+    """theta^T A^T A theta for a seeded Gaussian 3d x d matrix A."""
+    a = np.random.default_rng(seed).normal(size=(3 * d, d))
+    q = a.T @ a
+    terms = {}
+    for i in range(d):
+        for j in range(i, d):
+            n = [0] * d
+            n[i] += 1
+            n[j] += 1
+            terms[tuple(n)] = float(q[i, j] if i == j else 2.0 * q[i, j])
+    return SimplexPolynomial(d, 2, terms)
+
+
+class TestLiftMutant:
+    """A lift with the wrong weights must be caught by the routes' agreement.
+
+    The mutant weights each lift composition by the square root of its
+    orbit size.  finex.polynomial's binding of orbit_sizes is read only by
+    homogenize, so the oracle and boson routes see the wrong lift while the
+    cone LP, which reduces g itself, does not.
+    """
+
+    @pytest.fixture
+    def sqrt_lift(self, monkeypatch):
+        import finex.multiindex
+        import finex.polynomial
+
+        real = finex.multiindex.orbit_sizes
+        monkeypatch.setattr(finex.polynomial, "orbit_sizes", lambda r, d: np.sqrt(real(r, d)))
+
+    def test_bound_all_exits_3(self, sqrt_lift, tmp_path, capsys):
+        path = tmp_path / "psd.json"
+        path.write_text(poly_to_json(psd_quadratic(5, 11)))
+        argv = ["bound", "--observable", str(path), "--s", "7", "--method", "all"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "LP bound disagrees with the enumeration oracle" in captured.err
+
+    def test_verify_exits_3(self, sqrt_lift, capsys):
+        assert main(["verify", "--seed", "0"]) == 3
+        assert "LP bound disagrees with the enumeration oracle" in capsys.readouterr().err
 
 
 class TestVerify:

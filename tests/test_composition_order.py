@@ -5,7 +5,8 @@ for homogenize, one orbit_size division per composition for the oracle
 and the boson diagonal, one enumeration-position lookup for the LP's b,
 and one sequence_to_counts + rank + orbit_size (or one reordered sequence)
 per sequence for the dense tensor-space matrices.  Every comparison is
-bitwise.
+bitwise but one: the LP's b against reduce_to_free_vars, which sums in
+another order, is held to 1e-15 of the largest entry.
 """
 
 from itertools import permutations
@@ -30,9 +31,12 @@ from finex.multiindex import (
     sequence_to_counts,
     sequences,
 )
-from finex.polynomial import SimplexPolynomial, homogenize, two_face_witness
-
-_PRUNE = 1e-15
+from finex.polynomial import (
+    SimplexPolynomial,
+    homogenize,
+    reduce_to_free_vars,
+    two_face_witness,
+)
 
 
 def reference_homogenize(g, s):
@@ -65,13 +69,6 @@ def reference_vector(lifted):
     for n, c in lifted.terms.items():
         coefficients[position[n]] = c
     return coefficients
-
-
-def reference_b(lifted, a):
-    coefficients = reference_vector(lifted)
-    b = a[:, : len(coefficients)] @ coefficients
-    b[np.abs(b) < _PRUNE] = 0.0
-    return b
 
 
 def bits(x):
@@ -129,9 +126,21 @@ def test_lift_in_small_blocks_adds_in_the_same_order(g, s, monkeypatch):
 
 @pytest.mark.parametrize("g, s", [c for c in CASES if c[0].d < 6 or c[1] <= 10])
 def test_lp_b_matches_the_enumeration_position(g, s):
-    cone_lp = assemble(g, s)
-    expected = reference_b(reference_homogenize(g, s), cone_lp.lp.a)
-    assert np.array_equal(bits(cone_lp.lp.b), bits(expected))
+    # b is g's own reduction: at length s it is b at length g.degree, each
+    # entry moved to the row of the same exponent e, that is (e, s - |e|)
+    short = assemble(g, g.degree).b
+    position = {n: i for i, n in enumerate(compositions(s, g.d))}
+    expected = np.zeros(len(position))
+    for n, value in zip(compositions(g.degree, g.d), short):
+        e = n[: g.d - 1]
+        expected[position[e + (s - sum(e),)]] = value
+    assert np.array_equal(bits(assemble(g, s).b), bits(expected))
+
+    row_of = {n[: g.d - 1]: i for i, n in enumerate(compositions(g.degree, g.d))}
+    reference = np.zeros(len(short))
+    for e, c in reduce_to_free_vars(g).items():
+        reference[row_of[e]] = c
+    assert np.abs(short - reference).max() <= 1e-15 * max(1.0, np.abs(reference).max())
 
 
 def reference_isometry(d, s):

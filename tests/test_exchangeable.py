@@ -20,7 +20,6 @@ from finex.exchangeable import (
     from_sequence_probs,
     marginalize,
     oracle_bound,
-    oracle_bound_lifted,
     sample,
     to_json,
     urn_distribution,
@@ -125,6 +124,16 @@ class TestUrnDistribution:
     def test_empty_urn_rejected(self):
         with pytest.raises(DomainError):
             urn_distribution((0, 0))
+
+    @pytest.mark.parametrize("n", [(1, 0), (2, 0, 0), (1, 1, 0), (3, 0), (3, -1), ()])
+    def test_orbit_probability_rejects_wrong_shape(self, n):
+        with pytest.raises(DomainError):
+            urn_distribution((1, 1)).orbit_probability(n)
+
+    @pytest.mark.parametrize("seq", [(0, 1, 1), (0,), (), (0, 2)])
+    def test_sequence_probability_rejects_wrong_shape(self, seq):
+        with pytest.raises(DomainError):
+            urn_distribution((1, 1)).sequence_probability(seq)
 
 
 class TestMarginalize:
@@ -251,13 +260,6 @@ class TestOracleBound:
     def test_short_sequence_rejected(self):
         with pytest.raises(DomainError):
             oracle_bound(two_face_witness(), 1)
-
-    def test_lifted_entry_point_is_the_same_bound(self):
-        g = two_face_witness(4)
-        for s in (2, 3, 6):
-            direct = oracle_bound(g, s)
-            lifted = oracle_bound_lifted(homogenize(g, s))
-            assert lifted == direct
 
 
 class TestSample:

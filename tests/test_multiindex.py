@@ -114,6 +114,20 @@ def test_rank_at_large_degree():
     assert rank((0, 3, 10**6)) == r * (r + 1) // 2 + r - 3
 
 
+def test_large_binomial_table_is_not_cached():
+    # the degree-10**6 table has 3 million int64 entries (24 MB): it is built
+    # for the call and dropped, while small tables stay cached for the hot paths
+    before = _binomials.cache_info()
+    rank((0, 3, 10**6))
+    after = _binomials.cache_info()
+    assert after == before  # neither a miss that stored it nor a hit on an earlier copy
+    rank((1, 2, 3))
+    rank((3, 2, 1))
+    final = _binomials.cache_info()
+    assert final.hits > after.hits
+    assert final.currsize <= after.currsize + 1
+
+
 def test_rank_validates():
     for bad in [(), (1, -1), (1.0, 1)]:
         with pytest.raises(DomainError):
