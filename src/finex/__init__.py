@@ -1,12 +1,14 @@
 """Worst-case expectations over finitely exchangeable sequences.
 
-Three computations of the same quantity: urn enumeration, the boson
-minimum eigenvalue and a cone-membership linear program.  The first two
-read one vector of urn values (exchangeable.urn_values), which is also
-the compressed boson observable's diagonal: the classical/quantum
-equivalence written out, so they agree by construction.  The cone LP is
-computed independently, from the observable itself and never its lift,
-and writes no dense constraint matrix.
+Three computations of the same quantity, each by its own algorithm: urn
+enumeration reads the lifted observable's coefficients over their orbit
+sizes (exchangeable.urn_values); the boson minimum eigenvalue reads the
+occupation-basis diagonal by second quantization, from falling factorials
+of the occupation numbers; and the cone-membership linear program reads
+the observable's reduction and converts it to the Bernstein basis with
+the u-block's explicit inverse.  No route reads another's numbers, so
+their agreement tests the classical/quantum equivalence instead of
+assuming it.  The LP writes no dense constraint matrix.
 """
 
 from .boson import (

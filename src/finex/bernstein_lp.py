@@ -12,20 +12,21 @@ the LP assembly examples.
 The u-block is a nonsingular basis for free: theta^n reduces to
 theta_1^n_1 ... theta_{d-1}^n_{d-1} (its own row, coefficient 1) plus terms
 of strictly higher reduced degree, so ordered by degree it is unit
-lower-triangular with identity diagonal blocks.  Starting from that basis,
-one pivot (c entering, the ratio test picking the leaving column) reaches
-the optimum; the resulting primal and dual are validated against the
-assembled system, so optimality is proved by the certificate, not assumed
-from the structure.
+lower-triangular.  Its inverse is explicit: the reduced monomial theta^e
+is theta^(e,0) (sum theta)^(s-|e|) on the simplex, a sum of degree-s
+monomials with multinomial weights.  Starting from that basis, one pivot
+(c entering, the ratio test picking the leaving column) reaches the
+optimum; the resulting primal and dual are validated against the
+assembled system, so optimality is proved by the certificate, not
+assumed from the structure.
 
 Nothing in A depends on the observable, only on (d, s).  `_structure`
 builds it once per shape and caches it: the u-block's off-diagonal
-entries as read-only (row, column, weight) arrays (O(nnz), never a dense
-matrix), the same entries grouped by the reduced degree of their row and
-of their column, so each triangular solve is s scatters, and q, c's
-column in the u-block basis.  b is g's own reduction, not its lift's
-((sum theta)^(s-k) reduces to 1), and the certificate is evaluated from
-the same cached entries, so the solve writes no dense A;
+entries as read-only (row, column, weight) arrays sorted by row (O(nnz),
+never a dense matrix), the inverse's weights on the same entries, and
+q, c's column in the u-block basis.  b is g's own reduction, not its
+lift's ((sum theta)^(s-k) reduces to 1), and the certificate is evaluated
+from the same cached entries, so the solve writes no dense A;
 ConeMembershipLP.lp writes one on first read, for dump and the tests."""
 
 from __future__ import annotations
@@ -81,34 +82,21 @@ class ConeMembershipLP:
 class _Structure:
     """Everything in the cone LP that depends on (d, s) alone.
 
-    Row i and column i both belong to compositions(s, d)[i]; the u-block
-    is the identity plus the off-diagonal entries (rows, cols, weights), sorted
-    by the reduced degree of their row.  forward[k-1] is the slice whose
-    rows have reduced degree k, for k = 1..s; backward holds the same
-    entries grouped by the reduced degree of their column, for
-    k = s-1 down to 0.  q = B^-1 e_0 is c's column in the u-block basis.
-    Every array is read-only.
+    Row i and column i both belong to compositions(s, d)[i]; the u-block B
+    is the identity plus the off-diagonal entries (rows, cols, weights),
+    sorted by row.  B^-1 is explicit and has the same entries with the
+    weights' absolute values (inverse_weights) plus the identity, so row i
+    of either is the slice row_start[i]:row_start[i + 1], diagonal aside.
+    q = B^-1 e_0 is c's column in the u-block basis.  Every array is
+    read-only.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-    forward: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    backward: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    inverse_weights: np.ndarray
+    row_start: np.ndarray
     q: np.ndarray
-
-
-def _by_level(level: np.ndarray, entries: tuple, levels: range) -> tuple:
-    """Sort the entries by level; return them and one slice of them per level."""
-    order = np.argsort(level, kind="stable")
-    entries = tuple(x[order] for x in entries)
-    for x in entries:
-        x.setflags(write=False)
-    start = np.searchsorted(level[order], levels, side="left")
-    stop = np.searchsorted(level[order], levels, side="right")
-    return entries, tuple(
-        tuple(x[i:j] for x in entries) for i, j in zip(start.tolist(), stop.tolist())
-    )
 
 
 @lru_cache(maxsize=None)
@@ -121,11 +109,14 @@ def _structure(d: int, s: int) -> _Structure:
     orbit_size(j) * (-1)^(k - j_0).  j = (k, 0, ..., 0) is the diagonal 1.
     The weights are exact integers, so A is the same bitwise as expanding
     each column monomial by monomial.
+
+    Column e of B^-1 is theta^(e,0) (sum theta)^(s-|e|): orbit_size(j') at
+    row (e,0) + j' for j' in compositions(s - |e|, d).  With j' = (j[1:], j_0)
+    that is B's entry at the same row and column, unsigned, since a
+    multinomial does not depend on the order of its parts.  Column 0 is
+    (sum theta)^s, so q = orbit_sizes(s, d).
     """
     counts = composition_array(s, d)
-    m = len(counts)
-    level = s - counts[:, -1]  # reduced degree of row i and of column i
-
     rows, cols, weights = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
     for k in range(1, s + 1):
         js = composition_array(k, d)[1:]  # every j but the diagonal (k, 0, ..., 0)
@@ -138,30 +129,34 @@ def _structure(d: int, s: int) -> _Structure:
         rows.append(ranks(full, s).astype(np.int32))
         cols.append(np.repeat(cols_k, len(js)).astype(np.int32))
         weights.append(np.tile(w, len(cols_k)))
-    rows, cols, weights = (np.concatenate(x) for x in (rows, cols, weights))
-
-    (rows, cols, weights), forward = _by_level(
-        level[rows], (rows, cols, weights), range(1, s + 1)
-    )
-    _, backward = _by_level(level[cols], (rows, cols, weights), range(s - 1, -1, -1))
-    e0 = np.zeros(m)
-    e0[m - 1] = 1.0  # c's column: the constant monomial's row, last in order
-    q = _forward_solve(forward, e0)
+    rows = np.concatenate(rows)
+    # stable: the entries of one row keep their order, so every sum over a row adds alike
+    order = np.argsort(rows, kind="stable")
+    rows, cols, weights = rows[order], np.concatenate(cols)[order], np.concatenate(weights)[order]
+    row_start = np.searchsorted(rows, np.arange(len(counts) + 1, dtype=np.int32))
+    q = orbit_sizes(s, d)
     if not np.all(q > 0.0):
         raise SolverFailure(
-            "cone LP normalization column solved to a non-positive entry",
-            {"min_q": float(q.min())},
+            "cone LP normalization column has a non-positive entry", {"min_q": float(q.min())}
         )
-    q.setflags(write=False)
-    return _Structure(rows, cols, weights, forward, backward, q)
+    inverse_weights = np.abs(weights)
+    for x in (rows, cols, weights, inverse_weights, row_start):
+        x.setflags(write=False)
+    return _Structure(rows, cols, weights, inverse_weights, row_start, q)
 
 
-def _forward_solve(forward, x: np.ndarray) -> np.ndarray:
-    """B^-1 x, one reduced-degree level of rows at a time."""
-    x = x.copy()
-    for rows, cols, w in forward:
-        x -= np.bincount(rows, weights=w * x[cols], minlength=len(x))
-    return x
+@lru_cache(maxsize=None)
+def _placement(d: int, k: int, s: int) -> tuple[np.ndarray, tuple, tuple]:
+    """Where the degree-k reduction lands at length s, and the LP's labels.
+
+    Returns the rows (e, s - |e|) of the exponents e in compositions(k, d)
+    order (read-only), the u columns compositions(s, d) and the row labels.
+    """
+    heads = composition_array(k, d)[:, :-1]
+    positions = ranks(np.column_stack([heads, s - heads.sum(axis=1)]), s).astype(np.int32)
+    positions.setflags(write=False)
+    comps = tuple(compositions(s, d))
+    return positions, comps, tuple(n[: d - 1] for n in comps)
 
 
 def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
@@ -181,11 +176,10 @@ def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
     st = _structure(d, k)
     reduced = x + np.bincount(st.rows, weights=st.weights * x[st.cols], minlength=len(x))
     reduced[np.abs(reduced) < _PRUNE] = 0.0
-    heads = composition_array(k, d)[:, :-1]
-    comps = compositions(s, d)
+    positions, comps, rows = _placement(d, k, s)
     b = np.zeros(len(comps))
-    b[ranks(np.column_stack([heads, s - heads.sum(axis=1)]), s)] = reduced
-    return ConeMembershipLP(d, s, comps, [n[: d - 1] for n in comps], b)
+    b[positions] = reduced
+    return ConeMembershipLP(d, s, list(comps), list(rows), b)
 
 
 def _structural_solve(
@@ -193,23 +187,23 @@ def _structural_solve(
 ) -> tuple[float, np.ndarray, np.ndarray, dict]:
     """Optimal primal/dual pair from the u-block basis B and one pivot.
 
-    Grouped by reduced degree, B's diagonal blocks are identities, so both
-    triangular solves run one degree level at a time, each level a single
-    scatter of the cached off-diagonal entries.  With B basic, u = p - c q
-    for p = B^-1 b and q = B^-1 e_0 (e_0 is c's column); q holds the
-    multinomial coefficients of (sum theta)^s, all positive, and is
-    cached with the structure.  Entering c, the ratio test makes the
-    column with the smallest p_j / q_j leave.  The dual B^T y = e_j / q_j
-    then gives every u column a reduced cost <= 0 and c exactly 0, so the
-    pivot is optimal.  The pair is validated like any other certificate;
-    A x and y A are summed from the cached entries before b and the
-    objective are subtracted (subtracting b first misses the 1e-8 primal
-    contract on coefficients from 1e-6 to 1e12).
+    B^-1 is cached with the structure, so no system is solved.  With B
+    basic, u = p - c q for p = B^-1 b, one scatter of the inverse's
+    entries, and q = B^-1 e_0 (e_0 is c's column), the multinomial
+    coefficients of (sum theta)^s, all positive.  Entering c, the ratio
+    test makes the column with the smallest p_j / q_j leave.  The dual
+    B^T y = e_j / q_j is row j of B^-1 over q_j; it gives every u column a
+    reduced cost <= 0 and c exactly 0, so the pivot is optimal.  The pair
+    is validated like any other certificate, from B's own entries; A x and
+    y A are summed before b and the objective are subtracted (subtracting
+    b first misses the 1e-8 primal contract on coefficients from 1e-6 to
+    1e12).
     Returns (optimal value, primal, dual, residuals).
     """
     st = _structure(cone_lp.d, cone_lp.s)
     b, q = cone_lp.b, st.q
-    p = _forward_solve(st.forward, b)
+    m = len(b)
+    p = b + np.bincount(st.rows, weights=st.inverse_weights * b[st.cols], minlength=m)
 
     ratios = p / q
     leaving = int(np.argmin(ratios))
@@ -218,11 +212,10 @@ def _structural_solve(
     u[leaving] = 0.0
     primal = np.append(u, c)
 
-    m = len(b)
     dual = np.zeros(m)
+    row = slice(st.row_start[leaving], st.row_start[leaving + 1])
+    dual[st.cols[row]] = st.inverse_weights[row] / q[leaving]
     dual[leaving] = 1.0 / q[leaving]
-    for rows, cols, w in st.backward:
-        dual -= np.bincount(cols, weights=w * dual[rows], minlength=m)
 
     ax = u + np.bincount(st.rows, weights=st.weights * u[st.cols], minlength=m)
     ax[-1] += c  # c's column is the constant-monomial row's unit vector
@@ -243,8 +236,8 @@ def solve_lp(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Solve an assembled system; returns (optimal value, primal, dual).
 
-    The solve starts from the structural basis (the u-block, triangular
-    by reduced degree) and needs a single pivot, c entering; the result
+    The solve starts from the structural basis (the u-block, whose inverse
+    is cached with it) and needs a single pivot, c entering; the result
     is checked for primal, dual and complementary-slackness residuals
     against the cached sparse A and b, and SolverFailure is raised otherwise.
     The dual has one entry per monomial row; paired with the reduction of

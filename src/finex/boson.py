@@ -5,9 +5,10 @@ indistinguishable d-level bosons.  The permutation-symmetric subspace of
 the d**s tensor space has one orthonormal basis vector per count vector
 (the occupation basis); compressing an orbit-constant diagonal observable
 onto it gives a diagonal operator whose smallest eigenvalue is exactly
-the worst-case expectation over all boson-symmetric density matrices,
-which by the classical/quantum equivalence is the same worst case the urn
-oracle and the cone LP compute.
+the worst-case expectation over all boson-symmetric density matrices.
+quantum_bound reads that diagonal by second quantization, never from the
+lifted observable, so its agreement with the urn oracle and the cone LP
+tests the classical/quantum equivalence instead of assuming it.
 
 Dense tensor-space objects (symmetrizer, permutation matrices, dense
 density matrices) are capped at d**s <= 4096; they exist to let tests
@@ -17,15 +18,18 @@ verify the compressed path against literal matrix algebra.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import CapacityError, DomainError, SolverFailure
-from .exchangeable import BoundResult, ExchangeableDistribution, urn_values
+from .exchangeable import BoundResult, ExchangeableDistribution
 from .multiindex import (
     CountVector,
+    composition_array,
     compositions,
     num_compositions,
     orbit_sizes,
@@ -33,14 +37,13 @@ from .multiindex import (
     ranks,
     require_int,
     scatter_by_rank,
-    unrank,
 )
 from .polynomial import (
     DiagonalObservable,
     SimplexPolynomial,
     evaluate,
     gradient,
-    homogenize,
+    homogenize,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
 )
 from .solvers import jacobi_eigen, require_hermitian
 
@@ -185,6 +188,24 @@ def compress_hermitian(g_matrix: np.ndarray, s: int, d: int) -> np.ndarray:
     return v.T @ g_matrix @ v
 
 
+@lru_cache(maxsize=None)
+def _falling_factorials(k: int, s: int) -> np.ndarray:
+    """table[j, x] = x (x-1) ... (x-j+1), the falling factorial, for j <= k and x <= s.
+
+    The entries are exact integers while they stay below 2**53.  Where
+    s (s-1) ... (s-k+1) would pass the float range, every factor is divided
+    by s, which scales each product of k factors by the same s**-k.
+    Read-only.
+    """
+    x = np.arange(s + 1, dtype=float)
+    scale = 1.0 if math.lgamma(s + 1) - math.lgamma(s - k + 1) < 700.0 else float(s)
+    table = np.ones((k + 1, s + 1))
+    for j in range(1, k + 1):
+        table[j] = table[j - 1] * (np.maximum(x - (j - 1), 0.0) / scale)
+    table.setflags(write=False)
+    return table
+
+
 def quantum_bound(
     g: SimplexPolynomial, s: int, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> BoundResult:
@@ -194,19 +215,40 @@ def quantum_bound(
     occupation basis, so its minimum eigenvalue is the smallest diagonal
     entry and the optimal rho is the rank-one projector onto the matching
     occupation state; that basis vector is returned as the certificate.
-    The diagonal is the urn oracle's vector (urn_values), so this route
-    and the oracle agree by construction.
+    The diagonal comes from second quantization, not from the lift: the
+    normal-ordered term a^dagger^m a^m has <n| a^dagger^m a^m |n> =
+    prod_i n_i (n_i - 1) ... (n_i - m_i + 1), so at the Fock state |n>
+    the observable reads sum_m c_m prod_i n_i^(m_i falling) / s^(k falling),
+    Diaconis and Freedman's (1980) formula for sampling k of the s balls
+    without replacement.  It is the urn oracle's vector computed another way.
     """
     if s < g.degree:
         raise DomainError(f"sequence length {s} < polynomial degree {g.degree}")
-    diagonal = urn_values(homogenize(g, s))
+    counts = composition_array(s, g.d)
+    table = _falling_factorials(g.degree, s)
+    diagonal = np.zeros(len(counts))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        for m, c in g.terms.items():
+            product = None  # prod_i table[m_i, n_i] over the term's nonzero exponents
+            for i, e in enumerate(m):
+                if e:
+                    factor = table[e][counts[:, i]]
+                    product = factor if product is None else product * factor
+            diagonal += c if product is None else c * product
+        diagonal /= table[g.degree, s]
     k = int(np.argmin(diagonal))  # first minimum wins: deterministic tie-break
+    value = float(diagonal[k])
+    if not math.isfinite(value):  # argmin stops at a NaN, so this sees any but +inf
+        raise DomainError(
+            f"the boson diagonal at length s={s} overflows: "
+            "an expectation exceeds the float range"
+        )
     eigenvector = np.zeros(len(diagonal))
     eigenvector[k] = 1.0
     return BoundResult(
-        value=float(diagonal[k]),
+        value=value,
         method="boson",
-        argmin=unrank(k, s, g.d),
+        argmin=tuple(counts[k].tolist()),
         certificate=eigenvector,
         diagnostics={"occupation_dimension": len(diagonal), "s": s},
     )
@@ -334,7 +376,8 @@ def _descent_starts(d: int, total: int = 64) -> np.ndarray:
 def _grid_minimum(g: SimplexPolynomial, target_points: int = 100_000) -> float:
     """Minimum over the densest rational grid with at most ~target points."""
     resolution = 1
-    while num_compositions(resolution + 1, g.d) <= target_points:
+    # at d = 1 the simplex is one point, and every resolution lists it once
+    while g.d > 1 and num_compositions(resolution + 1, g.d) <= target_points:
         resolution += 1
     points = np.array(compositions(resolution, g.d), dtype=float) / resolution
     values = np.zeros(len(points))

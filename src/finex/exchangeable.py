@@ -217,17 +217,24 @@ def oracle_bound(g: SimplexPolynomial, s: int) -> BoundResult:
     Linear objective + convex polytope: the minimum is attained at an urn
     extreme point, so enumerate every composition of s balls over d colours.
     Ties break toward the earlier composition in the fixed enumeration
-    order, making the certificate deterministic.
+    order, making the certificate deterministic.  The last length's value,
+    argmin and count are kept on g, so the command's oracle column and the
+    LP's agreement check share one lift; each call returns a new result.
     """
     if s < g.degree:
         raise DomainError(f"sequence length {s} < polynomial degree {g.degree}")
-    values = urn_values(homogenize(g, s))
-    k = int(np.argmin(values))  # the first minimum: the earlier composition wins ties
+    memo = g.__dict__.get("_oracle_memo")
+    if memo is None or memo[0] != s:
+        values = urn_values(homogenize(g, s))
+        k = int(np.argmin(values))  # the first minimum: the earlier composition wins ties
+        memo = (s, float(values[k]), unrank(k, s, g.d), len(values))
+        g.__dict__["_oracle_memo"] = memo  # g is frozen; its cached properties live here too
+    _, value, argmin, count = memo
     return BoundResult(
-        value=float(values[k]),
+        value=value,
         method="oracle",
-        argmin=unrank(k, s, g.d),
-        diagnostics={"compositions_evaluated": len(values), "s": s},
+        argmin=argmin,
+        diagnostics={"compositions_evaluated": count, "s": s},
     )
 
 
@@ -235,9 +242,9 @@ def urn_values(lifted: SimplexPolynomial) -> np.ndarray:
     """Expectation of lifted under every urn, in compositions(s, d) order.
 
     The urn with composition n makes each ordering of n equally likely, so
-    it reads the coefficient of theta^n divided by orbit_size(n).  The same
-    vector is the diagonal of the lifted observable compressed onto the
-    occupation basis, which is why the boson route reads it too.
+    it reads the coefficient of theta^n divided by orbit_size(n).  The
+    boson route computes the same vector another way, by second
+    quantization (boson.quantum_bound), so each checks the other.
     """
     return lifted.coefficient_vector / orbit_sizes(lifted.degree, lifted.d)
 

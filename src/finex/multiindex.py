@@ -164,7 +164,7 @@ def ranks(counts: np.ndarray, r: int) -> np.ndarray:
         # placing n_i takes n_i from R and one slot; C(top, slots) is 0 when
         # top < slots, that is when nothing exceeds n_i
         top = top - counts[:, i] - 1
-        out += table[top, d - 1 - i]
+        out += table[:, d - 1 - i][top]
     return out
 
 

@@ -1,6 +1,8 @@
 """Symmetric subspace machinery against literal dense tensor algebra."""
 
 import json
+import math
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from finex.boson import (
     BosonDensityMatrix,
+    _falling_factorials,
     OccupationBasis,
     compress,
     compress_hermitian,
@@ -292,6 +295,56 @@ class TestQuantumBound:
                 assert quantum_bound(g, s).value == pytest.approx(
                     oracle_bound(g, s).value, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_falling_factorials_are_the_lifted_urn_values_exactly(self, d):
+        # <n| a^dagger^m a^m |n> / s^(k falling) against the coefficient of
+        # theta^n in theta^m (sum theta)^(s-k), over orbit_size(n), in exact rationals
+        for k in range(4):
+            for s in range(k, 7):
+                table = _falling_factorials(k, s)
+                assert all(
+                    table[j, x] == math.perm(x, j) for j in range(k + 1) for x in range(s + 1)
+                )
+                for m in compositions(k, d):
+                    for n in compositions(s, d):
+                        falling = math.prod(math.perm(ni, mi) for ni, mi in zip(n, m))
+                        rest = tuple(ni - mi for ni, mi in zip(n, m))
+                        lifted = orbit_size(rest) if min(rest) >= 0 else 0
+                        assert Fraction(falling, math.perm(s, k)) == Fraction(
+                            lifted, orbit_size(n)
+                        )
+
+    def test_does_not_lift(self, monkeypatch):
+        import finex.boson
+
+        def refuse(g, s):
+            raise AssertionError("the boson route lifted")
+
+        monkeypatch.setattr(finex.boson, "homogenize", refuse)
+        g = SimplexPolynomial(3, 2, {(2, 0, 0): 1.0, (1, 1, 0): -1.0, (0, 2, 0): 1.0})
+        assert quantum_bound(g, 5).value == pytest.approx(oracle_bound(g, 5).value, abs=1e-15)
+
+    def test_empty_observable_reads_zero(self):
+        result = quantum_bound(SimplexPolynomial(3, 2, {}), 4)
+        assert result.value == 0.0
+        assert result.argmin == (4, 0, 0)
+
+    def test_constant_observable_reads_its_value_on_every_urn(self):
+        result = quantum_bound(constant(-2.5, 3), 5)
+        assert result.value == -2.5
+        assert result.argmin == (5, 0, 0)
+        assert quantum_bound(constant(-2.5, 3), 0).value == -2.5
+
+    def test_one_outcome(self):
+        assert quantum_bound(SimplexPolynomial(1, 2, {(2,): 3.0}), 7).value == 3.0
+
+    def test_falling_factorials_past_the_float_range(self):
+        # 200!/50! passes 1e308, so the table is scaled by 200 per factor
+        g = SimplexPolynomial(2, 150, {(150, 0): 1.0, (75, 75): -2.0})
+        value = quantum_bound(g, 200).value
+        assert np.isfinite(value)
+        assert value == pytest.approx(oracle_bound(g, 200).value, rel=1e-12)
 
     def test_certificate_is_ground_eigenvector(self):
         result = quantum_bound(two_face_witness(), 2)

@@ -1,6 +1,12 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +118,20 @@ class TestBound:
         assert captured.err.startswith("error:")
         assert "s=4" in captured.err and "overflow" in captured.err
         assert "(" not in captured.err  # no count vector, lifted or not
+
+    def test_boson_overflow_exits_2_without_warnings(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"d": 3, "terms": [{"counts": [2, 0, 0], "coeff": 1e308},'
+            ' {"counts": [1, 1, 0], "coeff": -1e308}]}'
+        )
+        argv = ["bound", "--observable", str(path), "--s", "4", "--method", "boson"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning raises
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "s=4" in captured.err
 
     def test_missing_file_exits_2(self):
         assert main(["bound", "--observable", "/nonexistent.json", "--s", "2"]) == 2
@@ -331,6 +351,17 @@ class TestCurve:
         )
         assert out.read_text() == first
 
+    def test_one_outcome_observable_finishes(self, tmp_path, capsys):
+        # the simplex of one outcome is a single point; the grid scan must not search for more
+        path = tmp_path / "one.json"
+        path.write_text('{"d": 1, "terms": [{"counts": [2], "coeff": 1.0}]}')
+        start = time.perf_counter()
+        assert main(["curve", "--observable", str(path), "--s-min", "2", "--s-max", "4"]) == 0
+        assert time.perf_counter() - start < 2.0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "s,v_oracle,v_lp,v_boson,v_infinity"
+        assert [line.split(",")[4] for line in lines[1:]] == ["1", "1", "1"]
+
     def test_empty_range_exits_2(self, witness_path):
         assert (
             main(
@@ -393,7 +424,46 @@ class TestLiftMutant:
         assert "LP bound disagrees with the enumeration oracle" in capsys.readouterr().err
 
 
+class TestOneLiftPerLength:
+    """The oracle lifts once per length, and the LP and boson routes never do."""
+
+    @pytest.fixture
+    def lifts(self, monkeypatch):
+        import finex.bernstein_lp
+        import finex.boson
+        import finex.exchangeable
+        import finex.polynomial
+
+        lengths = []
+        real = finex.polynomial.homogenize
+
+        def counting(g, s):
+            lengths.append(s)
+            return real(g, s)
+
+        for module in (finex.polynomial, finex.exchangeable, finex.bernstein_lp, finex.boson):
+            monkeypatch.setattr(module, "homogenize", counting)
+        return lengths
+
+    def test_bound_all_lifts_once(self, lifts, witness_path, capsys):
+        assert main(["bound", "--observable", witness_path, "--s", "5", "--method", "all"]) == 0
+        assert json.loads(capsys.readouterr().out)["agree"] is True
+        assert lifts == [5]
+
+    def test_curve_lifts_once_per_length(self, lifts, witness_path, capsys):
+        argv = ["curve", "--observable", witness_path, "--s-min", "2", "--s-max", "6"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 6
+        assert lifts == [2, 3, 4, 5, 6]
+
+
 class TestVerify:
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--seed" in captured.err
+
     def test_default_run_passes(self, capsys):
         assert main(["verify", "--seed", "0"]) == 0
         out = capsys.readouterr().out
@@ -480,6 +550,12 @@ class TestSample:
     def test_bad_urn_exits_2(self):
         assert main(["sample", "--urn", "1,x", "--n", "10"]) == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["sample", "--urn", "1,1", "--n", "2", "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--seed" in captured.err
+
     @pytest.mark.parametrize(
         "doc, complaint",
         [
@@ -526,6 +602,16 @@ class TestCoinDemo:
 class TestUsage:
     def test_no_command_exits_2(self):
         assert main([]) == 2
+
+    def test_runs_as_a_module(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "finex", "verify", "--seed", "0"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("all checks passed\n")
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
