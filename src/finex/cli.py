@@ -87,8 +87,11 @@ def _write_output(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write output file {out}: {exc}") from exc
 
 
 def _bound_for(method: str, g: SimplexPolynomial, s: int):
@@ -358,6 +361,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+        raise DomainError(f"--seed must be an integer >= 0, got {args.seed}")
+    if args.command == "bound":
+        g = _load_observable(args.observable)
+        if args.s < g.degree:
+            raise DomainError(
+                f"--s {args.s} is below the observable degree {g.degree}"
+            )
+        methods = ("oracle", "lp", "boson") if args.method == "all" else (args.method,)
+        tol = _agreement_tolerance(args.tol)
+        if args.dump_lp:
+            print(dump(assemble(g, args.s)))
+        return cmd_bound(g, args.s, methods, args.out, args.format, tol)
+
+    if args.command == "curve":
+        g = _load_observable(args.observable)
+        if args.s_min > args.s_max:
+            raise DomainError(
+                f"empty length range: --s-min {args.s_min} > --s-max {args.s_max}"
+            )
+        if args.s_min < g.degree:
+            raise DomainError(
+                f"--s-min {args.s_min} is below the observable degree {g.degree}"
+            )
+        return cmd_curve(g, args.s_min, args.s_max, args.out, args.lp_cap)
+
+    if args.command == "verify":
+        return cmd_verify(
+            args.seed, _agreement_tolerance(args.tol), args.inject_perturbation
+        )
+
+    if args.command == "sample":
+        return cmd_sample(args)
+
+    if args.command == "coin-demo":
+        return cmd_coin_demo()
+
+    raise DomainError(f"unknown command {args.command!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -366,44 +410,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     try:
-        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
-            raise DomainError(f"--seed must be an integer >= 0, got {args.seed}")
-        if args.command == "bound":
-            g = _load_observable(args.observable)
-            if args.s < g.degree:
-                raise DomainError(
-                    f"--s {args.s} is below the observable degree {g.degree}"
-                )
-            methods = ("oracle", "lp", "boson") if args.method == "all" else (args.method,)
-            tol = _agreement_tolerance(args.tol)
-            if args.dump_lp:
-                print(dump(assemble(g, args.s)))
-            return cmd_bound(g, args.s, methods, args.out, args.format, tol)
-
-        if args.command == "curve":
-            g = _load_observable(args.observable)
-            if args.s_min > args.s_max:
-                raise DomainError(
-                    f"empty length range: --s-min {args.s_min} > --s-max {args.s_max}"
-                )
-            if args.s_min < g.degree:
-                raise DomainError(
-                    f"--s-min {args.s_min} is below the observable degree {g.degree}"
-                )
-            return cmd_curve(g, args.s_min, args.s_max, args.out, args.lp_cap)
-
-        if args.command == "verify":
-            return cmd_verify(
-                args.seed, _agreement_tolerance(args.tol), args.inject_perturbation
-            )
-
-        if args.command == "sample":
-            return cmd_sample(args)
-
-        if args.command == "coin-demo":
-            return cmd_coin_demo()
-
-        raise DomainError(f"unknown command {args.command!r}")
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone; point stdout at devnull so the
+        # flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

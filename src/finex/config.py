@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # linear programming
+    # linear programming: the certificate check every LP answer passes, and
+    # the pivot threshold and iteration cap of the Bland's-rule reference
+    # simplex that the tests check the structural cone-LP solve against
     primal_feasibility: float = 1e-8
     dual_feasibility: float = 1e-8
     complementary_slackness: float = 1e-8
     pivot_threshold: float = 1e-10
     simplex_iteration_cap: int = 1_000_000
-    simplex_stall_limit: int = 200      # degenerate iterations before Bland's rule engages
 
     # eigensolver
     eigen_residual: float = 1e-9        # ||A v - lambda v|| <= this * ||A||_F

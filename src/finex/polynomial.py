@@ -277,10 +277,13 @@ def from_json(text: str) -> SimplexPolynomial:
             raise DomainError(
                 f"term {item!r}: counts must be {d} non-negative integers"
             )
+        # bool is an int subclass and float("1.5") parses, so check the type
+        if type(item["coeff"]) not in (int, float):
+            raise DomainError(f"term {item!r}: coeff must be a number")
         try:
             coeff = float(item["coeff"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"term {item!r}: coeff must be a number") from exc
+        except OverflowError as exc:
+            raise DomainError(f"term {item!r}: coeff exceeds the float range") from exc
         n = tuple(counts)
         if deg is None:
             deg = sum(n)

@@ -1,12 +1,14 @@
-"""Shared numerical kernels: dense two-phase simplex and Hermitian eigensolver.
+"""Shared numerical kernels: a reference simplex and a Hermitian eigensolver.
 
 Both are written against numpy arrays and nothing else, so every
 optimality or accuracy claim made by the higher-level modules can be
-traced to code in this file.  The simplex returns a full primal/dual
-certificate pair, and certificate_residuals checks any such pair, whichever
-solver produced it; the eigensolver hands the work to LAPACK (numpy's
-eigh) and accepts the decomposition only after checking its
-reconstruction residual here.
+traced to code in this file.  The simplex is a small dense two-phase
+method under Bland's rule; no command calls it, because the cone LP is
+solved structurally, but the tests check that solve against it.  It
+returns a full primal/dual certificate pair, and certificate_residuals
+checks any such pair, whichever solver produced it; the eigensolver hands
+the work to LAPACK (numpy's eigh) and accepts the decomposition only after
+checking its reconstruction residual here.
 """
 
 from __future__ import annotations
@@ -58,213 +60,70 @@ class SimplexResult:
     residuals: dict = field(default_factory=dict)
 
 
-class _Tableau:
-    """Revised simplex state over a fixed column pool.
+def _inverse(basis_matrix: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(basis_matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"singular simplex basis: {exc}") from exc
 
-    The basis inverse is maintained by eta updates; a cheap probe residual
-    (two matrix-vector products, sampled every few pivots) detects real
-    drift and triggers refactorization exactly when needed.
+
+def _bland(a, b, cost, basis, n_enter, tol: Tolerances):
+    """Maximize cost @ x over a x = b, x >= 0, from the feasible `basis`.
+
+    Bland's rule: the lowest-index improving column enters, and among the
+    rows tied for the minimum ratio the one whose basic variable has the
+    lowest index leaves, so the method cannot cycle (Bland 1977).  The
+    basis inverse is recomputed at every pivot.  Columns at or past
+    n_enter never enter.  `basis` is updated in place; returns
+    (status, inverse of the final basis, pivots).
     """
-
-    def __init__(self, a, b, tol: Tolerances):
-        self.a = a
-        self.b = b
-        self.tol = tol
-        self.basis: np.ndarray | None = None
-        self.b_inv: np.ndarray | None = None
-        self.basis_matrix: np.ndarray | None = None
-        self.x_b: np.ndarray | None = None
-        self.updates = 0
-        m = len(b)
-        self._probe = np.random.default_rng(7).standard_normal(m)
-
-    def set_basis(self, basis):
-        self.basis = np.array(basis, dtype=int)
-        self.refresh()
-
-    def refresh(self):
-        self.basis_matrix = self.a[:, self.basis].copy()
-        try:
-            self.b_inv = np.linalg.solve(self.basis_matrix, np.eye(len(self.b)))
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"singular simplex basis: {exc}") from exc
-        self.x_b = self.b_inv @ self.b
-        self.updates = 0
-        # a fresh factorization already carries eps * condition(B) of probe
-        # error; drift is judged against that floor, not an absolute one
-        self._fresh_residual = max(self._probe_residual(), 1e-14)
-
-    def _probe_residual(self):
-        err = self.basis_matrix @ (self.b_inv @ self._probe) - self._probe
-        return float(np.abs(err).max())
-
-    def stale(self):
-        """True when the eta-updated inverse has measurably drifted."""
-        if self.updates == 0:
-            return False
-        if self.updates >= 500:
-            return True
-        if self.updates % 4:
-            return False
-        return self._probe_residual() > max(100.0 * self._fresh_residual, 1e-10)
-
-    def pivot(self, entering, leaving_row, w):
-        piv = w[leaving_row]
-        pivot_row = self.b_inv[leaving_row, :] / piv
-        # full rank-one update, then overwrite the pivot row (cheaper than a
-        # masked update, which round-trips the whole inverse through copies)
-        self.b_inv -= np.outer(w, pivot_row)
-        self.b_inv[leaving_row, :] = pivot_row
-        step = self.x_b[leaving_row] / piv
-        self.x_b = self.x_b - step * w
-        self.x_b[leaving_row] = step
-        self.basis[leaving_row] = entering
-        self.basis_matrix[:, leaving_row] = self.a[:, entering]
-        self.updates += 1
-
-
-def _run_simplex(
-    tab: _Tableau, cost, allowed, tol: Tolerances, iteration_budget, retire_from=None
-):
-    """Maximize cost over the current basis; returns (status, iterations).
-
-    Candidate-list partial pricing (Dantzig within the list, full rescan
-    when it runs dry) until the objective stalls for
-    tol.simplex_stall_limit degenerate iterations, then Bland's smallest
-    index rule, which cannot cycle.  Columns flagged False in `allowed`
-    never enter; columns at or past `retire_from` (phase-1 artificials)
-    are struck from `allowed` once they leave the basis.
-    """
-    n_pool = tab.a.shape[1]
-    basic_mask = np.zeros(n_pool, dtype=bool)
-    basic_mask[tab.basis] = True
-    candidates_list = np.array([], dtype=int)
-    list_size = max(64, n_pool // 16)
-
-    bland = False
-    stall = 0
-    last_objective = -np.inf
     iterations = 0
     while True:
-        if iterations >= iteration_budget:
+        b_inv = _inverse(a[:, basis])
+        x_b = b_inv @ b
+        reduced = cost[:n_enter] - (cost[basis] @ b_inv) @ a[:, :n_enter]
+        reduced[basis[basis < n_enter]] = 0.0
+        improving = np.flatnonzero(reduced > tol.dual_feasibility)
+        if improving.size == 0:
+            return OPTIMAL, b_inv, iterations
+        if iterations >= tol.simplex_iteration_cap:
             raise SolverFailure(
                 "simplex iteration cap exceeded",
-                {"iterations": iterations, "objective": float(last_objective)},
+                {"iterations": iterations, "objective": float(cost[basis] @ x_b)},
             )
-        if tab.stale():
-            tab.refresh()
-        x_b = tab.x_b
-        y = cost[tab.basis] @ tab.b_inv
-        if bland:
-            reduced = cost - y @ tab.a
-            reduced[basic_mask] = -np.inf
-            reduced[~allowed] = -np.inf
-            eligible = np.flatnonzero(reduced > tol.dual_feasibility)
-            if eligible.size == 0:
-                return OPTIMAL, iterations
-            entering = int(eligible[0])
-        else:
-            # partial pricing: keep a candidate list of recently attractive
-            # columns and only price those; rebuild from a full scan when
-            # the list runs dry
-            entering = None
-            if candidates_list.size:
-                live = candidates_list[
-                    allowed[candidates_list] & ~basic_mask[candidates_list]
-                ]
-                if live.size:
-                    rc = cost[live] - y @ tab.a[:, live]
-                    k = int(np.argmax(rc))
-                    if rc[k] > tol.dual_feasibility:
-                        entering = int(live[k])
-                candidates_list = live
-            if entering is None:
-                reduced = cost - y @ tab.a
-                reduced[basic_mask] = -np.inf
-                reduced[~allowed] = -np.inf
-                top = np.argsort(-reduced)[:list_size]
-                top = top[reduced[top] > tol.dual_feasibility]
-                if top.size == 0:
-                    return OPTIMAL, iterations
-                candidates_list = top
-                entering = int(top[0])
-
-        w = tab.b_inv @ tab.a[:, entering]
-        # pivots are accepted relative to the column scale; anything close
-        # to cancellation noise is refused so it cannot poison the inverse
-        scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-        candidates = np.flatnonzero(w > 1e-7 * scale)
-        if candidates.size == 0:
-            if tab.updates > 0:
-                tab.refresh()
-                continue  # retry the iteration with a clean inverse
-            # freshly factored: fall back to the contractual threshold
-            candidates = np.flatnonzero(w > tol.pivot_threshold * scale)
-            if candidates.size == 0:
-                return UNBOUNDED, iterations
-        # Harris-style two-pass ratio test: relax the blocking ratio by the
-        # feasibility tolerance, then take the largest pivot among the rows
-        # inside the relaxation.  These cone systems are heavily degenerate,
-        # and picking small pivots corrupts the basis inverse.
-        blocked = np.maximum(x_b[candidates], 0.0)
-        ratios = blocked / w[candidates]
-        if bland:
-            # Bland needs the exact minimum ratio, with the smallest basis
-            # index leaving (the termination guarantee depends on both)
-            ties = candidates[np.flatnonzero(ratios <= ratios.min())]
-            leaving_row = int(ties[np.argmin(tab.basis[ties])])
-        else:
-            relaxed = ((blocked + tol.primal_feasibility) / w[candidates]).min()
-            ties = candidates[np.flatnonzero(ratios <= relaxed)]
-            leaving_row = int(ties[np.argmax(w[ties])])
-
-        leaving_var = int(tab.basis[leaving_row])
-        tab.pivot(entering, leaving_row, w)
+        entering = int(improving[0])
+        w = b_inv @ a[:, entering]
+        # a pivot is accepted relative to the column scale, so cancellation
+        # noise in w is never taken for a blocking row
+        scale = max(1.0, float(np.abs(w).max()))
+        rows = np.flatnonzero(w > tol.pivot_threshold * scale)
+        if rows.size == 0:
+            return UNBOUNDED, b_inv, iterations
+        ratios = np.maximum(x_b[rows], 0.0) / w[rows]
+        ties = rows[ratios <= ratios.min()]
+        basis[ties[np.argmin(basis[ties])]] = entering
         iterations += 1
-        basic_mask[leaving_var] = False
-        basic_mask[entering] = True
-        if retire_from is not None and leaving_var >= retire_from:
-            allowed[leaving_var] = False  # an artificial never re-enters
-
-        objective = float(cost[tab.basis] @ tab.x_b)
-        if objective > last_objective + 1e-12:
-            stall = 0
-            last_objective = objective
-        else:
-            stall += 1
-            if stall >= tol.simplex_stall_limit and not bland:
-                bland = True
 
 
 def simplex_solve(
-    lp: LinearProgram,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    _perturb: bool = True,
+    lp: LinearProgram, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> SimplexResult:
-    """Dense two-phase revised simplex with a primal/dual certificate.
+    """Dense two-phase simplex under Bland's rule, with a primal/dual certificate.
 
-    On OPTIMAL status the result satisfies, within the configured
-    tolerances: primal feasibility ||a x - b||_inf, dual feasibility
-    (all reduced costs <= 0, exactly 0 on free columns), and
-    complementary slackness max |x_j * reduced_cost_j|.
-
-    Degenerate instances are solved against a deterministic right-hand
-    side perturbation of relative size ~1e-9 (the classic anti-stalling
-    device); the returned solution is always recomputed and validated
-    against the exact data, and the solve silently reruns unperturbed if
-    that validation fails.
+    A reference implementation: the cone LP is solved structurally, and
+    the tests check that solve against this one.  On OPTIMAL status the
+    result satisfies, within the configured tolerances: primal
+    feasibility ||a x - b||_inf, dual feasibility (all reduced costs
+    <= 0, exactly 0 on free columns), and complementary slackness
+    max |x_j * reduced_cost_j|.  A certificate outside them raises
+    SolverFailure.
     """
     m, n = lp.a.shape
     tol = tolerances
 
-    def rerun_exact(reason):
-        if _perturb:
-            return simplex_solve(lp, tolerances, _perturb=False)
-        raise SolverFailure(f"simplex validation failed: {reason}")
-
     # split free variables into positive and negative parts
     free_idx = np.flatnonzero(lp.free)
-    a_std = np.hstack([lp.a, -lp.a[:, free_idx]]) if free_idx.size else lp.a.copy()
+    a_std = np.hstack([lp.a, -lp.a[:, free_idx]])
     c_std = np.concatenate([lp.objective, -lp.objective[free_idx]])
     n_std = a_std.shape[1]
 
@@ -274,80 +133,51 @@ def simplex_solve(
     a_std[flip, :] *= -1
     b[flip] *= -1
 
-    if _perturb and m > 1:
-        rng = np.random.default_rng(0xF17E)
-        delta = 1e-9 * (1.0 + b) * rng.uniform(0.5, 1.0, size=m)
-    else:
-        delta = np.zeros(m)
-    b_work = b + delta
-
-    # phase 1: artificial basis, maximize minus the artificial mass
+    # phase 1: artificial basis, maximize minus the artificial mass; an
+    # artificial never enters, so one still basic sits in its own row
     pool = np.hstack([a_std, np.eye(m)])
     cost1 = np.concatenate([np.zeros(n_std), -np.ones(m)])
-    allowed = np.ones(n_std + m, dtype=bool)
-    tab = _Tableau(pool, b_work, tol)
-    tab.set_basis(range(n_std, n_std + m))
-    budget = tol.simplex_iteration_cap
-    status, it1 = _run_simplex(tab, cost1, allowed, tol, budget, retire_from=n_std)
+    basis = np.arange(n_std, n_std + m)
+    status, b_inv, it1 = _bland(pool, b, cost1, basis, n_std, tol)
     if status != OPTIMAL:  # phase 1 objective is bounded above by zero
         raise SolverFailure("phase 1 terminated abnormally", {"status": status})
-    infeasibility = -float(cost1[tab.basis] @ tab.x_b)
+    infeasibility = float((b_inv @ b)[basis >= n_std].sum())
     if infeasibility > tol.primal_feasibility:
-        if _perturb:
-            # the perturbation may be to blame; decide on the exact data
-            return simplex_solve(lp, tolerances, _perturb=False)
         return SimplexResult(
             INFEASIBLE, None, None, None, it1, {"infeasibility": infeasibility}
         )
 
     # drive leftover artificials out of the basis; a row with no real pivot
     # candidate is redundant and gets dropped
-    drop_rows = []
-    for row in range(m):
-        if tab.basis[row] < n_std:
-            continue
-        candidates = np.abs(tab.b_inv[row, :] @ a_std)
-        candidates[tab.basis[tab.basis < n_std]] = 0.0
-        j = int(np.argmax(candidates))
-        if candidates[j] > tol.pivot_threshold:
-            tab.pivot(j, row, tab.b_inv @ pool[:, j])
-        else:
-            drop_rows.append(row)
+    for row in np.flatnonzero(basis >= n_std):
+        weights = np.abs(_inverse(pool[:, basis])[row] @ a_std)
+        weights[basis[basis < n_std]] = 0.0
+        j = int(np.argmax(weights))
+        if weights[j] > tol.pivot_threshold:
+            basis[row] = j
+    keep = basis < n_std
+    basis = basis[keep]
+    b_kept = b[keep]
 
-    keep = np.setdiff1d(np.arange(m), drop_rows)
-    row_map = keep  # positions in the original row order
-    a2 = a_std[keep, :]
-    tab2 = _Tableau(a2, b_work[keep], tol)
-    tab2.set_basis([tab.basis[row] for row in range(m) if row not in drop_rows])
-
-    # phase 2 on the real columns only
-    allowed2 = np.ones(n_std, dtype=bool)
-    status, it2 = _run_simplex(tab2, c_std, allowed2, tol, budget)
+    # phase 2 on the real columns and the kept rows
+    status, b_inv, it2 = _bland(a_std[keep], b_kept, c_std, basis, n_std, tol)
     iterations = it1 + it2
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, None, iterations, {})
 
-    # evaluate the final basis against the exact right-hand side
-    tab2.b = b[keep]
-    tab2.refresh()
-    x_basic = tab2.x_b
-    if float(x_basic.min(initial=0.0)) < -tol.primal_feasibility:
-        return rerun_exact("perturbed basis infeasible for exact data")
     x_std = np.zeros(n_std)
-    x_std[tab2.basis] = np.maximum(x_basic, 0.0)
+    x_std[basis] = np.maximum(b_inv @ b_kept, 0.0)
     x = x_std[:n].copy()
     x[free_idx] -= x_std[n:]
 
-    y_kept = c_std[tab2.basis] @ tab2.b_inv
     y = np.zeros(m)
-    y[row_map] = y_kept
+    y[keep] = c_std[basis] @ b_inv
     y[flip] *= -1  # undo the row orientation
 
-    optimum = float(lp.objective @ x)
     residuals = certificate_residuals(lp.a @ x - lp.b, lp.objective - y @ lp.a, x, lp.free)
     if not within_tolerances(residuals, tol):
-        return rerun_exact(f"residuals {residuals}")
-    return SimplexResult(OPTIMAL, optimum, x, y, iterations, residuals)
+        raise SolverFailure("simplex certificate outside tolerances", residuals)
+    return SimplexResult(OPTIMAL, float(lp.objective @ x), x, y, iterations, residuals)
 
 
 def certificate_residuals(

@@ -599,6 +599,79 @@ class TestCoinDemo:
         assert out.count("0.5") >= 4  # the four central entries of rho
 
 
+class TestNoCommandReachesTheSimplex:
+    """The cone LP is solved structurally; the general simplex is a test reference."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--observable", "{witness}", "--s", "4", "--method", "all"],
+            ["bound", "--observable", "{witness}", "--s", "4", "--method", "all", "--dump-lp"],
+            ["curve", "--observable", "{witness}", "--s-min", "2", "--s-max", "5"],
+            ["verify", "--seed", "0"],
+            ["coin-demo"],
+        ],
+        ids=["bound", "bound-dump-lp", "curve", "verify", "coin-demo"],
+    )
+    def test_output_unchanged_with_the_simplex_refusing(
+        self, argv, witness_path, capsys, monkeypatch
+    ):
+        import finex.bernstein_lp
+        import finex.solvers
+
+        argv = [arg.format(witness=witness_path) for arg in argv]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command reached the general simplex")
+
+        monkeypatch.setattr(finex.solvers, "simplex_solve", refuse)
+        monkeypatch.setattr(finex.bernstein_lp, "simplex_solve", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+class TestOutputFailures:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--observable", "{witness}", "--s", "2"],
+            ["curve", "--observable", "{witness}", "--s-min", "2", "--s-max", "2"],
+            ["sample", "--urn", "1,1", "--n", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_exits_2(self, argv, witness_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.txt"
+        argv = [arg.format(witness=witness_path) for arg in argv] + ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output file")
+        assert str(out) in captured.err
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_pipe_exits_2_without_a_traceback(self, unbuffered):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "finex", "verify", "--seed", "0"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 class TestUsage:
     def test_no_command_exits_2(self):
         assert main([]) == 2

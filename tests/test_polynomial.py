@@ -241,6 +241,8 @@ class TestJson:
         [
             '{"d": 2, "terms": [{"counts": [2, 0], "coeff": "abc"}]}',
             '{"d": 2, "terms": [{"counts": [2, 0], "coeff": null}]}',
+            '{"d": 2, "terms": [{"counts": [2, 0], "coeff": true}]}',
+            '{"d": 2, "terms": [{"counts": [2, 0], "coeff": "1.5"}]}',
             '{"d": 2, "terms": [{"counts": [2, 0], "coeff": 1%s}]}' % ("0" * 400),
             '{"d": 2, "terms": {"counts": [2, 0], "coeff": 1.0}}',
             '{"d": 2, "terms": [{"counts": [true, true], "coeff": 1.0}]}',
