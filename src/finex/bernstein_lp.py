@@ -38,7 +38,10 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError, SolverFailure
-from .exchangeable import BoundResult, oracle_bound
+from .exchangeable import (
+    BoundResult,
+    oracle_bound,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
+)
 from .multiindex import CountVector, composition_array, compositions, orbit_sizes, ranks
 from .polynomial import (
     SimplexPolynomial,
@@ -253,19 +256,12 @@ def lower_bound_lp(
 ) -> BoundResult:
     """LP route to the worst-case expectation over length-s sequences.
 
-    The solution carries validated residuals (see solve_lp), and its
-    optimum must agree with the enumeration oracle within the
-    cross-method tolerance.
+    The solution carries validated residuals (see solve_lp).  It neither
+    lifts g nor consults another route: comparing the routes is left to
+    the commands that compute more than one.
     """
-    oracle = oracle_bound(g, s)
     cone_lp = assemble(g, s)
     value, primal, dual, residuals = _structural_solve(cone_lp, tolerances)
-    gap = abs(value - oracle.value)
-    if gap > tolerances.method_agreement:
-        raise SolverFailure(
-            "LP bound disagrees with the enumeration oracle",
-            {"lp": value, "oracle": oracle.value, "gap": gap},
-        )
     u = {n: float(v) for n, v in zip(cone_lp.u_columns, primal[:-1]) if abs(v) > 0.0}
     certificate = {
         "u": u,
@@ -282,7 +278,6 @@ def lower_bound_lp(
             "residuals": residuals,
             "rows": len(cone_lp.rows),
             "columns": len(cone_lp.u_columns) + 1,
-            "oracle_gap": gap,
         },
     )
 

@@ -206,9 +206,7 @@ def _falling_factorials(k: int, s: int) -> np.ndarray:
     return table
 
 
-def quantum_bound(
-    g: SimplexPolynomial, s: int, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> BoundResult:
+def quantum_bound(g: SimplexPolynomial, s: int) -> BoundResult:
     """Minimum of Tr(D rho) over boson-symmetric density matrices.
 
     The compressed operator of the lifted observable is diagonal on the

@@ -35,6 +35,7 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
 DEFAULT_LP_CAP = 8
+ROUTES = ("oracle", "lp", "boson")
 
 
 def fmt(x: float) -> str:
@@ -104,6 +105,14 @@ def _bound_for(method: str, g: SimplexPolynomial, s: int):
     raise DomainError(f"unknown method {method!r}")
 
 
+def _agreement_exit(spreads: dict[int, float], tol: float) -> int:
+    """Exit code for the routes' spread at each length; names any length beyond tol."""
+    beyond = ", ".join(f"s={s} (by {fmt(v)})" for s, v in spreads.items() if not v <= tol)
+    if beyond:
+        print(f"error: the routes disagree by more than {fmt(tol)} at {beyond}", file=sys.stderr)
+    return EXIT_VERIFY_FAILED if beyond else EXIT_OK
+
+
 def cmd_bound(
     g: SimplexPolynomial, s: int, methods: tuple, out: str | None, out_format: str, tol: float
 ) -> int:
@@ -133,19 +142,24 @@ def cmd_bound(
         lines += [f"{r.method},{fmt(r.value)}" for r in results]
         text = "\n".join(lines)
     _write_output(text, out)
-    return EXIT_OK
+    return _agreement_exit({s: doc["max_discrepancy"]} if len(results) > 1 else {}, tol)
 
 
-def cmd_curve(g: SimplexPolynomial, s_min: int, s_max: int, out: str | None, lp_cap: int) -> int:
+def cmd_curve(
+    g: SimplexPolynomial, s_min: int, s_max: int, out: str | None, lp_cap: int, tol: float
+) -> int:
     floor = boson.simplex_minimum(g)
     lines = ["s,v_oracle,v_lp,v_boson,v_infinity"]
+    spreads = {}
     for s in range(s_min, s_max + 1):
         v_oracle = oracle_bound(g, s).value
-        v_lp = fmt(lower_bound_lp(g, s).value) if s <= lp_cap else ""
+        v_lp = [lower_bound_lp(g, s).value] if s <= lp_cap else []  # no LP past the cap
         v_boson = boson.quantum_bound(g, s).value
-        lines.append(f"{s},{fmt(v_oracle)},{v_lp},{fmt(v_boson)},{fmt(floor)}")
+        spreads[s] = max(v_oracle, *v_lp, v_boson) - min(v_oracle, *v_lp, v_boson)
+        lp_cell = fmt(v_lp[0]) if v_lp else ""
+        lines.append(f"{s},{fmt(v_oracle)},{lp_cell},{fmt(v_boson)},{fmt(floor)}")
     _write_output("\n".join(lines) + "\n", out)
-    return EXIT_OK
+    return _agreement_exit(spreads, tol)
 
 
 def _verify_checks(seed: int, tol: float, perturb: bool):
@@ -159,11 +173,7 @@ def _verify_checks(seed: int, tol: float, perturb: bool):
             d, 2, {n: float(rng.uniform(-1, 1)) for n in compositions(2, d)}
         )
         for s in range(2, 6):
-            values = [
-                oracle_bound(g, s).value,
-                lower_bound_lp(g, s).value,
-                boson.quantum_bound(g, s).value,
-            ]
+            values = [_bound_for(m, g, s).value for m in ROUTES]
             worst = max(worst, max(values) - min(values))
     yield "three-method-agreement", worst <= tol, worst
 
@@ -231,11 +241,7 @@ def _verify_checks(seed: int, tol: float, perturb: bool):
     witness = two_face_witness()
     gap = 0.0
     for s, expected in ((2, -0.5), (3, -1.0 / 6.0)):
-        for value in (
-            oracle_bound(witness, s).value,
-            lower_bound_lp(witness, s).value,
-            boson.quantum_bound(witness, s).value,
-        ):
+        for value in (_bound_for(m, witness, s).value for m in ROUTES):
             gap = max(gap, abs(value - expected))
     yield "reference-values", gap <= tol, gap
 
@@ -299,7 +305,9 @@ def cmd_coin_demo() -> int:
     print(f"product-state minimum of the witness polynomial = {fmt(floor)}")
     print()
     obs = to_diagonal_observable(two_face_witness(2))
-    assert abs(boson.witness_value(obs, rho) - value) < 1e-12
+    if not abs(boson.witness_value(obs, rho) - value) < 1e-12:
+        print("error: the witness polynomial and D disagree on Tr(D rho)", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     print(
         "verdict: Tr(D rho) < product-state minimum, so this state is"
         " finitely exchangeable, not infinitely extendable"
@@ -370,7 +378,7 @@ def _run(args) -> int:
             raise DomainError(
                 f"--s {args.s} is below the observable degree {g.degree}"
             )
-        methods = ("oracle", "lp", "boson") if args.method == "all" else (args.method,)
+        methods = ROUTES if args.method == "all" else (args.method,)
         tol = _agreement_tolerance(args.tol)
         if args.dump_lp:
             print(dump(assemble(g, args.s)))
@@ -386,7 +394,8 @@ def _run(args) -> int:
             raise DomainError(
                 f"--s-min {args.s_min} is below the observable degree {g.degree}"
             )
-        return cmd_curve(g, args.s_min, args.s_max, args.out, args.lp_cap)
+        tol = _agreement_tolerance(None)
+        return cmd_curve(g, args.s_min, args.s_max, args.out, args.lp_cap, tol)
 
     if args.command == "verify":
         return cmd_verify(

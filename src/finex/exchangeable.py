@@ -217,24 +217,17 @@ def oracle_bound(g: SimplexPolynomial, s: int) -> BoundResult:
     Linear objective + convex polytope: the minimum is attained at an urn
     extreme point, so enumerate every composition of s balls over d colours.
     Ties break toward the earlier composition in the fixed enumeration
-    order, making the certificate deterministic.  The last length's value,
-    argmin and count are kept on g, so the command's oracle column and the
-    LP's agreement check share one lift; each call returns a new result.
+    order, making the certificate deterministic.
     """
     if s < g.degree:
         raise DomainError(f"sequence length {s} < polynomial degree {g.degree}")
-    memo = g.__dict__.get("_oracle_memo")
-    if memo is None or memo[0] != s:
-        values = urn_values(homogenize(g, s))
-        k = int(np.argmin(values))  # the first minimum: the earlier composition wins ties
-        memo = (s, float(values[k]), unrank(k, s, g.d), len(values))
-        g.__dict__["_oracle_memo"] = memo  # g is frozen; its cached properties live here too
-    _, value, argmin, count = memo
+    values = urn_values(homogenize(g, s))
+    k = int(np.argmin(values))  # the first minimum: the earlier composition wins ties
     return BoundResult(
-        value=value,
+        value=float(values[k]),
         method="oracle",
-        argmin=argmin,
-        diagnostics={"compositions_evaluated": count, "s": s},
+        argmin=unrank(k, s, g.d),
+        diagnostics={"compositions_evaluated": len(values), "s": s},
     )
 
 

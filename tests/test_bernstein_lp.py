@@ -287,7 +287,6 @@ class TestStructuralBasis:
                 assert abs(sparse[key] - dense[key]) <= 1e-12
 
     def test_solve_writes_no_dense_system_and_no_lift(self, monkeypatch):
-        # the oracle-agreement check still lifts, through finex.exchangeable
         def refuse(*args, **kwargs):
             raise AssertionError("not on the solve path")
 
@@ -306,19 +305,18 @@ class TestStructuralBasis:
         assert reference.status == OPTIMAL
         assert solve_lp(cone_lp)[0] == pytest.approx(reference.optimum, abs=1e-9)
 
-    def test_lifts_the_observable_once(self, monkeypatch):
-        # the LP reads g itself; the one lift is the oracle-agreement check's
-        calls = []
+    def test_needs_neither_the_lift_nor_the_oracle(self, monkeypatch):
+        # the LP reads g itself, and comparing routes is left to the commands
+        expected = oracle_bound(two_face_witness(3), 4).value
 
-        def counting(g, s):
-            calls.append(s)
-            return homogenize(g, s)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the LP route called into another route")
 
-        monkeypatch.setattr(finex.bernstein_lp, "homogenize", counting)
-        monkeypatch.setattr(finex.exchangeable, "homogenize", counting)
+        monkeypatch.setattr(finex.bernstein_lp, "oracle_bound", refuse)
+        monkeypatch.setattr(finex.bernstein_lp, "homogenize", refuse)
         result = lower_bound_lp(two_face_witness(3), 4)
-        assert calls == [4]
-        assert result.diagnostics["oracle_gap"] <= 1e-12
+        assert result.value == pytest.approx(expected, abs=1e-12)
+        assert "oracle_gap" not in result.diagnostics
 
     def test_one_pivot(self):
         result = lower_bound_lp(two_face_witness(), 4)

@@ -14,6 +14,13 @@ import pytest
 from finex.cli import main
 from finex.errors import SolverFailure
 from finex.exchangeable import from_sequence_probs, to_json as dist_to_json
+from finex.multiindex import (
+    composition_array,
+    compositions,
+    num_compositions,
+    orbit_sizes,
+    ranks,
+)
 from finex.polynomial import SimplexPolynomial, two_face_witness, to_json as poly_to_json
 
 
@@ -393,13 +400,34 @@ def psd_quadratic(d, seed):
     return SimplexPolynomial(d, 2, terms)
 
 
-class TestLiftMutant:
-    """A lift with the wrong weights must be caught by the routes' agreement.
+def term_major_homogenize(g, target_degree):
+    """homogenize with one fault: products laid out term-major, rank keys m-major.
 
-    The mutant weights each lift composition by the square root of its
-    orbit size.  finex.polynomial's binding of orbit_sizes is read only by
-    homogenize, so the oracle and boson routes see the wrong lift while the
-    cone LP, which reduces g itself, does not.
+    Each product of a lift composition m and a term n then lands on the urn
+    of another (m, n) pair, so the lifted coefficients sit on the wrong urns.
+    """
+    lift = target_degree - g.degree
+    if lift == 0:
+        return g
+    d = g.d
+    term_counts = np.array(list(g.terms), dtype=np.int64).reshape(-1, d)
+    coeffs = np.fromiter(g.terms.values(), dtype=float, count=len(g.terms))
+    keys = (composition_array(lift, d)[:, None, :] + term_counts[None, :, :]).reshape(-1, d)
+    products = (coeffs[:, None] * orbit_sizes(lift, d)[None, :]).ravel()
+    values = np.zeros(num_compositions(target_degree, d))
+    np.add.at(values, ranks(keys, target_degree), products)
+    comps = compositions(target_degree, d)
+    return SimplexPolynomial(d, target_degree, dict(zip(comps, values.tolist())))
+
+
+class TestLiftMutant:
+    """A faulty lift must be caught by the routes' agreement in the commands.
+
+    The sqrt mutant weights each lift composition by the square root of its
+    orbit size; the term-major mutant is term_major_homogenize.  Only the
+    oracle lifts: the cone LP reduces g itself and the boson route sums
+    falling factorials, so the oracle alone is wrong, and each route still
+    answers on its own.
     """
 
     @pytest.fixture
@@ -410,18 +438,73 @@ class TestLiftMutant:
         real = finex.multiindex.orbit_sizes
         monkeypatch.setattr(finex.polynomial, "orbit_sizes", lambda r, d: np.sqrt(real(r, d)))
 
-    def test_bound_all_exits_3(self, sqrt_lift, tmp_path, capsys):
+    @pytest.fixture(params=["sqrt", "term-major"])
+    def faulty_lift(self, request, monkeypatch):
+        import finex.exchangeable
+        import finex.polynomial
+
+        if request.param == "sqrt":
+            request.getfixturevalue("sqrt_lift")
+        else:
+            for module in (finex.polynomial, finex.exchangeable):
+                monkeypatch.setattr(module, "homogenize", term_major_homogenize)
+
+    @pytest.fixture
+    def psd_path(self, tmp_path):
         path = tmp_path / "psd.json"
         path.write_text(poly_to_json(psd_quadratic(5, 11)))
-        argv = ["bound", "--observable", str(path), "--s", "7", "--method", "all"]
-        assert main(argv) == 3
+        return str(path)
+
+    def test_bound_all_exits_1(self, faulty_lift, psd_path, capsys):
+        argv = ["bound", "--observable", psd_path, "--s", "7", "--method", "all"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["agree"] is False
+        assert doc["max_discrepancy"] > doc["agreement_tolerance"]
+        assert captured.err.startswith("error: the routes disagree") and "s=7" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_bound_all_writes_the_csv_first(self, sqrt_lift, psd_path, tmp_path, capsys):
+        out = tmp_path / "bound.csv"
+        argv = ["bound", "--observable", psd_path, "--s", "7", "--format", "csv"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert out.read_text().splitlines()[0] == "method,value"
+        assert len(out.read_text().splitlines()) == 4
+        assert capsys.readouterr().err.startswith("error: the routes disagree")
+
+    def test_verify_exits_1(self, faulty_lift, capsys):
+        assert main(["verify", "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL  three-method-agreement" in captured.out
+        assert captured.err == ""
+
+    def test_bound_lp_alone_is_right(self, sqrt_lift, psd_path, capsys):
+        argv = ["bound", "--observable", psd_path, "--s", "7", "--method", "lp"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bounds"] == [{"method": "lp", "value": 0.871924119567, "argmin": None}]
+
+    def test_curve_exits_1_naming_the_lengths(self, sqrt_lift, psd_path, capsys):
+        # at s=3 the lift is by one degree, where every orbit size is 1 and
+        # the mutant is exact
+        argv = ["curve", "--observable", psd_path, "--s-min", "3", "--s-max", "5", "--lp-cap", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 4
+        assert captured.err.startswith("error: the routes disagree")
+        assert "s=4" in captured.err and "s=5" in captured.err and "s=3" not in captured.err
+
+    def test_curve_reads_the_tolerance(self, sqrt_lift, psd_path, capsys, monkeypatch):
+        argv = ["curve", "--observable", psd_path, "--s-min", "3", "--s-max", "5", "--lp-cap", "1"]
+        monkeypatch.setenv("FINEX_TOL", "1")
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setenv("FINEX_TOL", "nan")
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "LP bound disagrees with the enumeration oracle" in captured.err
-
-    def test_verify_exits_3(self, sqrt_lift, capsys):
-        assert main(["verify", "--seed", "0"]) == 3
-        assert "LP bound disagrees with the enumeration oracle" in capsys.readouterr().err
+        assert captured.err.startswith("error: FINEX_TOL='nan' must be a finite")
 
 
 class TestOneLiftPerLength:
@@ -449,6 +532,11 @@ class TestOneLiftPerLength:
         assert main(["bound", "--observable", witness_path, "--s", "5", "--method", "all"]) == 0
         assert json.loads(capsys.readouterr().out)["agree"] is True
         assert lifts == [5]
+
+    def test_bound_lp_never_lifts(self, lifts, witness_path, capsys):
+        assert main(["bound", "--observable", witness_path, "--s", "5", "--method", "lp"]) == 0
+        assert json.loads(capsys.readouterr().out)["bounds"][0]["method"] == "lp"
+        assert lifts == []
 
     def test_curve_lifts_once_per_length(self, lifts, witness_path, capsys):
         argv = ["curve", "--observable", witness_path, "--s-min", "2", "--s-max", "6"]
@@ -597,6 +685,23 @@ class TestCoinDemo:
         assert "product-state minimum of the witness polynomial = 0" in out
         assert "witness fires" in out
         assert out.count("0.5") >= 4  # the four central entries of rho
+
+    def test_witness_value_mismatch_exits_1(self, capsys, monkeypatch):
+        import finex.boson
+        from finex.polynomial import DiagonalObservable
+
+        real = finex.boson.witness_value
+
+        def shifted(observable, rho):
+            # the polynomial's path is off by 1e-9; the matrix path is exact
+            shift = 1e-9 if isinstance(observable, DiagonalObservable) else 0.0
+            return real(observable, rho) + shift
+
+        monkeypatch.setattr(finex.boson, "witness_value", shifted)
+        assert main(["coin-demo"]) == 1
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert captured.err == "error: the witness polynomial and D disagree on Tr(D rho)\n"
 
 
 class TestNoCommandReachesTheSimplex:
