@@ -2,13 +2,20 @@
 
 Three computations of the same quantity, each by its own algorithm: urn
 enumeration reads the lifted observable's coefficients over their orbit
-sizes (exchangeable.urn_values); the boson minimum eigenvalue reads the
+sizes (exchangeable.oracle_block); the boson minimum eigenvalue reads the
 occupation-basis diagonal by second quantization, from falling factorials
 of the occupation numbers; and the cone-membership linear program reads
 the observable's reduction and converts it to the Bernstein basis with
 the u-block's explicit inverse.  No route reads another's numbers, so
 their agreement tests the classical/quantum equivalence instead of
 assuming it.  The LP writes no dense constraint matrix.
+
+Each route evaluates a block of observables of one shape
+(polynomial.PolynomialBlock: a term list and a coefficient column per
+observable) and returns one value per column: oracle_block, lp_block and
+boson_block.  A single observable is a block of one; oracle_bound,
+lower_bound_lp and quantum_bound are those wrappers, and only they build
+BoundResults and certificates.
 """
 
 from .boson import (

@@ -27,7 +27,10 @@ never a dense matrix), the inverse's weights on the same entries, and
 q, c's column in the u-block basis.  b is g's own reduction, not its
 lift's ((sum theta)^(s-k) reduces to 1), and the certificate is evaluated
 from the same cached entries, so the solve writes no dense A;
-ConeMembershipLP.lp writes one on first read, for dump and the tests."""
+ConeMembershipLP.lp writes one on first read, for dump and the tests.
+Since A is shared, lp_block solves a block of observables of one shape
+together, one column of b each, and validates each column's certificate
+on its own; lower_bound_lp is a block of one."""
 
 from __future__ import annotations
 
@@ -44,6 +47,7 @@ from .exchangeable import (
 )
 from .multiindex import CountVector, composition_array, compositions, orbit_sizes, ranks
 from .polynomial import (
+    PolynomialBlock,
     SimplexPolynomial,
     homogenize,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
     reduce_to_free_vars,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
@@ -162,6 +166,39 @@ def _placement(d: int, k: int, s: int) -> tuple[np.ndarray, tuple, tuple]:
     return positions, comps, tuple(n[: d - 1] for n in comps)
 
 
+def _scatter(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """Sum values (entries x B) into a (rows x B) matrix, values[e, j] at row index[e].
+
+    One np.bincount over index * B + j: it adds in entry order, so each
+    column sums exactly as a bincount of that column alone does.
+    """
+    size = values.shape[1]
+    flat = index if size == 1 else (index[:, None] * np.int64(size) + np.arange(size)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=rows * size).reshape(rows, size)
+
+
+# an overflow makes a residual inf or NaN, which the certificate check refuses
+@np.errstate(over="ignore", invalid="ignore")
+def _right_hand_sides(block: PolynomialBlock, s: int) -> np.ndarray:
+    """b for every column of the block at length s, one column each.
+
+    Each column's b is its reduction (the cached degree-k structure on its
+    coefficients, k = block.degree), pruned and placed at the rows
+    (e, s - |e|).
+    """
+    if s < block.degree:
+        raise DomainError(f"sequence length {s} < polynomial degree {block.degree}")
+    d, k = block.d, block.degree
+    x = block.coefficient_matrix
+    st = _structure(d, k)
+    reduced = x + _scatter(st.rows, st.weights[:, None] * x[st.cols], len(x))
+    reduced[np.abs(reduced) < _PRUNE] = 0.0
+    positions, comps, _ = _placement(d, k, s)
+    b = np.zeros((len(comps), block.size))
+    b[positions] = reduced
+    return b
+
+
 def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
     """Build the coefficient-matching LP for g against length-s sequences.
 
@@ -169,26 +206,18 @@ def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
     the map n -> (n_1, ..., n_{d-1}) is a bijection from degree-s count
     vectors onto exponents with total degree <= s, so there are exactly
     C(s+d-1, d-1) rows, in the order of compositions(s, d).  b is g's
-    reduction (the cached degree-k structure on its coefficients, k =
-    g.degree), pruned and placed at the rows (e, s - |e|); no dense A.
+    reduction, placed at the rows (e, s - |e|); no dense A.
     """
-    if s < g.degree:
-        raise DomainError(f"sequence length {s} < polynomial degree {g.degree}")
-    d, k = g.d, g.degree
-    x = g.coefficient_vector
-    st = _structure(d, k)
-    reduced = x + np.bincount(st.rows, weights=st.weights * x[st.cols], minlength=len(x))
-    reduced[np.abs(reduced) < _PRUNE] = 0.0
-    positions, comps, rows = _placement(d, k, s)
-    b = np.zeros(len(comps))
-    b[positions] = reduced
-    return ConeMembershipLP(d, s, list(comps), list(rows), b)
+    b = _right_hand_sides(PolynomialBlock.of([g]), s)[:, 0]
+    _, comps, rows = _placement(g.d, g.degree, s)
+    return ConeMembershipLP(g.d, s, list(comps), list(rows), b)
 
 
-def _structural_solve(
-    cone_lp: ConeMembershipLP, tol: Tolerances
-) -> tuple[float, np.ndarray, np.ndarray, dict]:
-    """Optimal primal/dual pair from the u-block basis B and one pivot.
+@np.errstate(over="ignore", invalid="ignore")  # as for _right_hand_sides
+def _solve(
+    d: int, s: int, b: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Optimal primal/dual pair of each column of b from the u-block basis B and one pivot.
 
     B^-1 is cached with the structure, so no system is solved.  With B
     basic, u = p - c q for p = B^-1 b, one scatter of the inverse's
@@ -196,42 +225,61 @@ def _structural_solve(
     coefficients of (sum theta)^s, all positive.  Entering c, the ratio
     test makes the column with the smallest p_j / q_j leave.  The dual
     B^T y = e_j / q_j is row j of B^-1 over q_j; it gives every u column a
-    reduced cost <= 0 and c exactly 0, so the pivot is optimal.  The pair
-    is validated like any other certificate, from B's own entries; A x and
-    y A are summed before b and the objective are subtracted (subtracting
-    b first misses the 1e-8 primal contract on coefficients from 1e-6 to
-    1e12).
-    Returns (optimal value, primal, dual, residuals).
+    reduced cost <= 0 and c exactly 0, so the pivot is optimal.  Each
+    column's pair is validated like any other certificate, from B's own
+    entries; A x and y A are summed before b and the objective are
+    subtracted (subtracting b first misses the 1e-8 primal contract on
+    coefficients from 1e-6 to 1e12).  The first column outside the
+    tolerances raises SolverFailure with its residuals.
+    Returns (optimal values, primals, duals, residuals), one column (one
+    entry of each residual array) per column of b.
     """
-    st = _structure(cone_lp.d, cone_lp.s)
-    b, q = cone_lp.b, st.q
-    m = len(b)
-    p = b + np.bincount(st.rows, weights=st.inverse_weights * b[st.cols], minlength=m)
+    st = _structure(d, s)
+    q = st.q
+    m, size = b.shape
+    columns = np.arange(size)
+    p = b + _scatter(st.rows, st.inverse_weights[:, None] * b[st.cols], m)
 
-    ratios = p / q
-    leaving = int(np.argmin(ratios))
-    c = float(ratios[leaving])
-    u = np.maximum(p - c * q, 0.0)
-    u[leaving] = 0.0
-    primal = np.append(u, c)
+    ratios = p / q[:, None]
+    leaving = np.argmin(ratios, axis=0)
+    c = ratios[leaving, columns]
+    u = np.maximum(p - c * q[:, None], 0.0)
+    u[leaving, columns] = 0.0
+    primal = np.vstack([u, c])
 
-    dual = np.zeros(m)
-    row = slice(st.row_start[leaving], st.row_start[leaving + 1])
-    dual[st.cols[row]] = st.inverse_weights[row] / q[leaving]
-    dual[leaving] = 1.0 / q[leaving]
+    # the dual of column j is row leaving[j] of B^-1 over q[leaving[j]]
+    starts, lengths = st.row_start[leaving], np.diff(st.row_start)[leaving]
+    entries = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+    owner = np.repeat(columns, lengths)
+    dual = np.zeros((m, size))
+    dual[st.cols[entries], owner] = st.inverse_weights[entries] / q[leaving][owner]
+    dual[leaving, columns] = 1.0 / q[leaving]
 
-    ax = u + np.bincount(st.rows, weights=st.weights * u[st.cols], minlength=m)
+    ax = u + _scatter(st.rows, st.weights[:, None] * u[st.cols], m)
     ax[-1] += c  # c's column is the constant-monomial row's unit vector
     # y A: y itself (the identity, then c's column), plus the off-diagonal entries
-    ya = np.append(dual, dual[-1]) + np.bincount(
-        st.cols, weights=st.weights * dual[st.rows], minlength=m + 1
-    )
+    ya = np.vstack([dual, dual[-1]]) + _scatter(st.cols, st.weights[:, None] * dual[st.rows], m + 1)
     reduced = -ya
     reduced[m] += 1.0  # objective - y A: the objective is c
     residuals = certificate_residuals(ax - b, reduced, primal, np.arange(m + 1) == m)
-    if not within_tolerances(residuals, tol):
-        raise SolverFailure(f"cone LP validation failed: residuals {residuals}", residuals)
+    failed = np.flatnonzero(~within_tolerances(residuals, tol))
+    if len(failed):
+        column = _column(residuals, failed[0])
+        raise SolverFailure(f"cone LP validation failed: residuals {column}", column)
     return c, primal, dual, residuals
+
+
+def _column(residuals: dict, j: int) -> dict:
+    """Column j's residuals, as the floats a single solve reports."""
+    return {key: float(value[j]) for key, value in residuals.items()}
+
+
+def _structural_solve(
+    cone_lp: ConeMembershipLP, tol: Tolerances
+) -> tuple[float, np.ndarray, np.ndarray, dict]:
+    """_solve for an assembled system, one column; returns (value, primal, dual, residuals)."""
+    c, primal, dual, residuals = _solve(cone_lp.d, cone_lp.s, cone_lp.b[:, None], tol)
+    return float(c[0]), primal[:, 0], dual[:, 0], _column(residuals, 0)
 
 
 def solve_lp(
@@ -251,14 +299,30 @@ def solve_lp(
     return value, primal, dual
 
 
+def lp_block(
+    block: PolynomialBlock, s: int, tolerances: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """LP route to the worst-case expectation over length-s sequences, for each column.
+
+    Builds every column's b from its reduction and solves them together
+    (see _solve); each column's certificate is validated on its own.  It
+    neither lifts nor consults another route: comparing the routes is left
+    to the commands that compute more than one.  Returns (optimal values,
+    primals, duals, residuals), one column each.
+    """
+    return _solve(block.d, s, _right_hand_sides(block, s), tolerances)
+
+
 def lower_bound_lp(
     g: SimplexPolynomial, s: int, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> BoundResult:
-    """LP route to the worst-case expectation over length-s sequences.
+    """LP route to the worst-case expectation over length-s sequences, for g alone.
 
-    The solution carries validated residuals (see solve_lp).  It neither
-    lifts g nor consults another route: comparing the routes is left to
-    the commands that compute more than one.
+    g is a block of one: assemble writes its b as lp_block does, and the
+    solve is _solve on that one column.  The solution carries validated
+    residuals (see solve_lp).  It neither lifts g nor consults another
+    route: comparing the routes is left to the commands that compute more
+    than one.
     """
     cone_lp = assemble(g, s)
     value, primal, dual, residuals = _structural_solve(cone_lp, tolerances)

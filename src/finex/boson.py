@@ -6,9 +6,11 @@ the d**s tensor space has one orthonormal basis vector per count vector
 (the occupation basis); compressing an orbit-constant diagonal observable
 onto it gives a diagonal operator whose smallest eigenvalue is exactly
 the worst-case expectation over all boson-symmetric density matrices.
-quantum_bound reads that diagonal by second quantization, never from the
-lifted observable, so its agreement with the urn oracle and the cone LP
-tests the classical/quantum equivalence instead of assuming it.
+boson_block reads that diagonal by second quantization, never from the
+lifted observable, for a block of observables, one column each
+(quantum_bound is a block of one), so its agreement with the urn oracle
+and the cone LP tests the classical/quantum equivalence instead of
+assuming it.
 
 Dense tensor-space objects (symmetrizer, permutation matrices, dense
 density matrices) are capped at d**s <= 4096; they exist to let tests
@@ -40,6 +42,7 @@ from .multiindex import (
 )
 from .polynomial import (
     DiagonalObservable,
+    PolynomialBlock,
     SimplexPolynomial,
     evaluate,
     gradient,
@@ -206,49 +209,64 @@ def _falling_factorials(k: int, s: int) -> np.ndarray:
     return table
 
 
-def quantum_bound(g: SimplexPolynomial, s: int) -> BoundResult:
-    """Minimum of Tr(D rho) over boson-symmetric density matrices.
+def boson_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum of Tr(D rho) over boson-symmetric density matrices, for each column.
 
     The compressed operator of the lifted observable is diagonal on the
     occupation basis, so its minimum eigenvalue is the smallest diagonal
     entry and the optimal rho is the rank-one projector onto the matching
-    occupation state; that basis vector is returned as the certificate.
-    The diagonal comes from second quantization, not from the lift: the
-    normal-ordered term a^dagger^m a^m has <n| a^dagger^m a^m |n> =
-    prod_i n_i (n_i - 1) ... (n_i - m_i + 1), so at the Fock state |n>
-    the observable reads sum_m c_m prod_i n_i^(m_i falling) / s^(k falling),
-    Diaconis and Freedman's (1980) formula for sampling k of the s balls
-    without replacement.  It is the urn oracle's vector computed another way.
+    occupation state.  The diagonal comes from second quantization, not
+    from the lift: the normal-ordered term a^dagger^m a^m has
+    <n| a^dagger^m a^m |n> = prod_i n_i (n_i - 1) ... (n_i - m_i + 1), so
+    at the Fock state |n> the observable reads
+    sum_m c_m prod_i n_i^(m_i falling) / s^(k falling), Diaconis and
+    Freedman's (1980) formula for sampling k of the s balls without
+    replacement.  It is the urn oracle's vector computed another way.  The
+    falling-factorial product of each term is formed once and multiplies
+    that term's row of coefficients, the terms summed in the block's order.
+    Returns each column's minimum and its occupation state's row in
+    compositions(s, d); the first minimum wins ties.
     """
-    if s < g.degree:
-        raise DomainError(f"sequence length {s} < polynomial degree {g.degree}")
-    counts = composition_array(s, g.d)
-    table = _falling_factorials(g.degree, s)
-    diagonal = np.zeros(len(counts))
+    if s < block.degree:
+        raise DomainError(f"sequence length {s} < polynomial degree {block.degree}")
+    counts = composition_array(s, block.d)
+    table = _falling_factorials(block.degree, s)
+    diagonal = np.zeros((len(counts), block.size))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        for m, c in g.terms.items():
+        for m, c in zip(block.terms, block.coefficients):
             product = None  # prod_i table[m_i, n_i] over the term's nonzero exponents
             for i, e in enumerate(m):
                 if e:
                     factor = table[e][counts[:, i]]
                     product = factor if product is None else product * factor
-            diagonal += c if product is None else c * product
-        diagonal /= table[g.degree, s]
-    k = int(np.argmin(diagonal))  # first minimum wins: deterministic tie-break
-    value = float(diagonal[k])
-    if not math.isfinite(value):  # argmin stops at a NaN, so this sees any but +inf
+            diagonal += c if product is None else product[:, None] * c
+        diagonal /= table[block.degree, s]
+    rows = np.argmin(diagonal, axis=0)  # first minimum wins: deterministic tie-break
+    values = diagonal[rows, np.arange(block.size)]
+    if not np.isfinite(values).all():  # argmin stops at a NaN, so this sees any but +inf
         raise DomainError(
             f"the boson diagonal at length s={s} overflows: "
             "an expectation exceeds the float range"
         )
-    eigenvector = np.zeros(len(diagonal))
+    return values, rows
+
+
+def quantum_bound(g: SimplexPolynomial, s: int) -> BoundResult:
+    """boson_block for g as a block of one; the certificate is the ground eigenvector.
+
+    That eigenvector is the occupation basis vector of the minimizing
+    count vector, which is also the argmin.
+    """
+    values, rows = boson_block(PolynomialBlock.of([g]), s)
+    k = int(rows[0])
+    eigenvector = np.zeros(num_compositions(s, g.d))
     eigenvector[k] = 1.0
     return BoundResult(
-        value=value,
+        value=float(values[0]),
         method="boson",
-        argmin=tuple(counts[k].tolist()),
+        argmin=tuple(composition_array(s, g.d)[k].tolist()),
         certificate=eigenvector,
-        diagnostics={"occupation_dimension": len(diagonal), "s": s},
+        diagnostics={"occupation_dimension": len(eigenvector), "s": s},
     )
 
 

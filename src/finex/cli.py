@@ -17,17 +17,18 @@ import sys
 import numpy as np
 
 from . import boson
-from .bernstein_lp import assemble, dump, lower_bound_lp
+from .bernstein_lp import assemble, dump, lower_bound_lp, lp_block
 from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, FinexError, SolverFailure
 from .exchangeable import (
     from_json as distribution_from_json,
+    oracle_block,
     oracle_bound,
     sample as sample_sequences,
     urn_distribution,
 )
 from .multiindex import compositions
-from .polynomial import SimplexPolynomial, from_json as polynomial_from_json
+from .polynomial import PolynomialBlock, SimplexPolynomial, from_json as polynomial_from_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -162,20 +163,60 @@ def cmd_curve(
     return _agreement_exit(spreads, tol)
 
 
-def _verify_checks(seed: int, tol: float, perturb: bool):
-    """Yield (name, passed, residual) rows for the verification table."""
-    rng = np.random.default_rng(seed)
+def _block_values(method: str, block: PolynomialBlock, s: int) -> np.ndarray:
+    if method == "oracle":
+        return oracle_block(block, s)[0]
+    if method == "lp":
+        return lp_block(block, s)[0]
+    if method == "boson":
+        return boson.boson_block(block, s)[0]
+    raise DomainError(f"unknown method {method!r}")
 
-    worst = 0.0
+
+def _seeded_quadratics(rng) -> list[SimplexPolynomial]:
+    """The agreement check's 50 observables: full quadratics over d = 2 or 3 faces."""
+    out = []
     for _ in range(50):
         d = int(rng.integers(2, 4))
-        g = SimplexPolynomial(
-            d, 2, {n: float(rng.uniform(-1, 1)) for n in compositions(2, d)}
+        terms = {n: float(rng.uniform(-1, 1)) for n in compositions(2, d)}
+        out.append(SimplexPolynomial(d, 2, terms))
+    return out
+
+
+def _route_agreement(observables: list[SimplexPolynomial], tol: float):
+    """The routes' worst spread over the observables at s = 2..5, and where it is.
+
+    The observables of one d form one block, evaluated once per route and
+    length.  The worst case is the first largest spread in the observables'
+    order, then by length; the route named is the one farthest from the
+    other two (the largest sum of distances to them).
+    """
+    lengths = range(2, 6)
+    values = np.zeros((len(observables), len(lengths), len(ROUTES)))
+    for d in sorted({g.d for g in observables}):
+        members = [i for i, g in enumerate(observables) if g.d == d]
+        block = PolynomialBlock.of([observables[i] for i in members])
+        for k, s in enumerate(lengths):
+            for r, method in enumerate(ROUTES):
+                values[members, k, r] = _block_values(method, block, s)
+    spreads = values.max(axis=2) - values.min(axis=2)
+    worst, detail = max(0.0, float(spreads.max())), None
+    if worst > 0.0:
+        i, k = np.unravel_index(np.argmax(spreads), spreads.shape)  # the first largest
+        v = values[i, k]
+        far = ROUTES[int(np.argmax(np.abs(v[:, None] - v[None, :]).sum(axis=1)))]
+        detail = (
+            f"worst case: observable {i} of the seed's stream (d={observables[i].d}) "
+            f"at s={lengths[k]}; {far} is farthest from the other two routes"
         )
-        for s in range(2, 6):
-            values = [_bound_for(m, g, s).value for m in ROUTES]
-            worst = max(worst, max(values) - min(values))
-    yield "three-method-agreement", worst <= tol, worst
+    return worst <= tol, worst, detail
+
+
+def _verify_checks(seed: int, tol: float, perturb: bool):
+    """Yield (name, passed, residual, detail) rows; detail is printed under a FAIL."""
+    rng = np.random.default_rng(seed)
+
+    yield ("three-method-agreement", *_route_agreement(_seeded_quadratics(rng), tol))
 
     worst = 0.0
     for d in (2, 3):
@@ -189,7 +230,7 @@ def _verify_checks(seed: int, tol: float, perturb: bool):
                 float(np.abs(pi @ pi - pi).max()),
                 float(np.abs(pi - pi.T).max()),
             )
-    yield "symmetrizer-projector", worst <= 1e-12, worst
+    yield "symmetrizer-projector", worst <= 1e-12, worst, None
 
     worst = 0.0
     for d in (2, 3):
@@ -203,7 +244,7 @@ def _verify_checks(seed: int, tol: float, perturb: bool):
                     float(np.abs(pi @ p - pi).max()),
                     float(np.abs(p @ pi - pi).max()),
                 )
-    yield "symmetrizer-absorbs-permutations", worst <= 1e-12, worst
+    yield "symmetrizer-absorbs-permutations", worst <= 1e-12, worst, None
 
     worst = 0.0
     for d in (2, 3):
@@ -211,7 +252,7 @@ def _verify_checks(seed: int, tol: float, perturb: bool):
             v = boson.OccupationBasis(d, s).dense_isometry()
             gram = v.T @ v
             worst = max(worst, float(np.abs(gram - np.eye(v.shape[1])).max()))
-    yield "occupation-orthonormality", worst <= 1e-12, worst
+    yield "occupation-orthonormality", worst <= 1e-12, worst, None
 
     worst = 0.0
     for d, s in [(2, 2), (2, 3), (3, 2), (3, 3)]:
@@ -230,27 +271,29 @@ def _verify_checks(seed: int, tol: float, perturb: bool):
                 float(np.abs(p @ dense - dense).max()),
                 float(np.abs(dense @ p.T - dense).max()),
             )
-    yield "state-index-symmetry", worst <= 1e-10, worst
+    yield "state-index-symmetry", worst <= 1e-10, worst, None
 
     from .polynomial import two_face_witness
 
     cone_lp = assemble(two_face_witness(), 2)
     rows = len(cone_lp.rows)
-    yield "cone-lp-has-21-rows", rows == 21, float(rows)
+    yield "cone-lp-has-21-rows", rows == 21, float(rows), None
 
     witness = two_face_witness()
     gap = 0.0
     for s, expected in ((2, -0.5), (3, -1.0 / 6.0)):
         for value in (_bound_for(m, witness, s).value for m in ROUTES):
             gap = max(gap, abs(value - expected))
-    yield "reference-values", gap <= tol, gap
+    yield "reference-values", gap <= tol, gap, None
 
 
 def cmd_verify(seed: int, tol: float, perturb: bool) -> int:
     failures = 0
-    for name, passed, residual in _verify_checks(seed, tol, perturb):
+    for name, passed, residual, detail in _verify_checks(seed, tol, perturb):
         status = "PASS" if passed else "FAIL"
         print(f"{status}  {name:<34} {fmt(residual)}")
+        if not passed and detail is not None:
+            print(f"      {detail}")
         failures += 0 if passed else 1
     if failures:
         print(f"{failures} check(s) failed")

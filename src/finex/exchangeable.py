@@ -8,6 +8,8 @@ balls, draw all s without replacement, and every ordering of n is equally
 likely.  Minimizing a linear expectation over the polytope therefore
 reduces to an exact enumeration over urn compositions, which is the
 oracle every other bound method in this package is checked against.
+oracle_block evaluates it for a block of observables, one column each;
+oracle_bound is that for a single observable, a block of one.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .multiindex import (
     CountVector,
     Sequence,
     compositions,
+    num_compositions,
     orbit_sequences,
     orbit_size,
     orbit_sizes,
@@ -33,7 +36,12 @@ from .multiindex import (
     unrank,
     validate_counts,
 )
-from .polynomial import SimplexPolynomial, homogenize
+from .polynomial import (
+    PolynomialBlock,
+    SimplexPolynomial,
+    homogenize,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
+    lift_block,
+)
 
 
 @dataclass(frozen=True)
@@ -211,23 +219,35 @@ def expectation(dist: ExchangeableDistribution, g: SimplexPolynomial) -> float:
     return float(urn_values(g) @ scatter_by_rank(dist.orbit_probs, dist.r, dist.d))
 
 
-def oracle_bound(g: SimplexPolynomial, s: int) -> BoundResult:
-    """Exact worst case of g over all exchangeable distributions of length s.
+def oracle_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact worst case of each column over all exchangeable distributions of length s.
 
     Linear objective + convex polytope: the minimum is attained at an urn
-    extreme point, so enumerate every composition of s balls over d colours.
-    Ties break toward the earlier composition in the fixed enumeration
-    order, making the certificate deterministic.
+    extreme point, so every column is lifted to degree s (lift_block) and
+    each lifted coefficient divided by its orbit size, one urn per row.
+    Returns each column's minimum and its row in compositions(s, d).  Ties
+    break toward the earlier composition in the fixed enumeration order,
+    making the certificate deterministic.
     """
-    if s < g.degree:
-        raise DomainError(f"sequence length {s} < polynomial degree {g.degree}")
-    values = urn_values(homogenize(g, s))
-    k = int(np.argmin(values))  # the first minimum: the earlier composition wins ties
+    if s < block.degree:
+        raise DomainError(f"sequence length {s} < polynomial degree {block.degree}")
+    values = lift_block(block, s) / orbit_sizes(s, block.d)[:, None]
+    rows = np.argmin(values, axis=0)  # the first minimum: the earlier composition wins ties
+    return values[rows, np.arange(block.size)], rows
+
+
+def oracle_bound(g: SimplexPolynomial, s: int) -> BoundResult:
+    """Exact worst case of g over length-s exchangeable distributions.
+
+    oracle_block for g as a block of one; argmin is the minimizing urn
+    composition.
+    """
+    values, rows = oracle_block(PolynomialBlock.of([g]), s)
     return BoundResult(
-        value=float(values[k]),
+        value=float(values[0]),
         method="oracle",
-        argmin=unrank(k, s, g.d),
-        diagnostics={"compositions_evaluated": len(values), "s": s},
+        argmin=unrank(int(rows[0]), s, g.d),
+        diagnostics={"compositions_evaluated": num_compositions(s, g.d), "s": s},
     )
 
 
@@ -235,9 +255,10 @@ def urn_values(lifted: SimplexPolynomial) -> np.ndarray:
     """Expectation of lifted under every urn, in compositions(s, d) order.
 
     The urn with composition n makes each ordering of n equally likely, so
-    it reads the coefficient of theta^n divided by orbit_size(n).  The
-    boson route computes the same vector another way, by second
-    quantization (boson.quantum_bound), so each checks the other.
+    it reads the coefficient of theta^n divided by orbit_size(n), as
+    oracle_block does for every column of a block.  The boson route
+    computes the same vector another way, by second quantization
+    (boson.boson_block), so each checks the other.
     """
     return lifted.coefficient_vector / orbit_sizes(lifted.degree, lifted.d)
 

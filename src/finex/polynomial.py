@@ -33,6 +33,7 @@ from .multiindex import (
     CountVector,
     composition_array,
     compositions,
+    num_compositions,
     orbit_size,
     orbit_sizes,
     ranks,
@@ -110,44 +111,120 @@ def constant(value: float, d: int) -> SimplexPolynomial:
     return SimplexPolynomial(d, 0, {(0,) * d: value})
 
 
-def homogenize(g: SimplexPolynomial, target_degree: int) -> SimplexPolynomial:
-    """Multiply g by (theta_1+...+theta_d)**(target_degree - degree).
+@dataclass(frozen=True, eq=False)
+class PolynomialBlock:
+    """B observables of one shape (d, degree) as a term list and a (terms x B) matrix.
 
-    On the simplex the values are unchanged; the result is homogeneous of
-    the target degree.  A lifted coefficient past the float range raises DomainError.
+    Column j of coefficients holds observable j's coefficient on each of
+    terms, 0 where it has no such term.  Every route evaluates a block,
+    one value per column, and a single observable is a block of one
+    (PolynomialBlock.of([g])).  The boson route sums its terms in the
+    block's order, so a column whose own terms come in that order reads
+    bitwise what it reads alone.  Build blocks with PolynomialBlock.of,
+    which takes validated polynomials; the matrix is read-only.
     """
-    lift = target_degree - g.degree
+
+    d: int
+    degree: int
+    terms: tuple[CountVector, ...]
+    coefficients: np.ndarray
+
+    @classmethod
+    def of(cls, polynomials) -> PolynomialBlock:
+        """Stack observables of one shape; the terms in the order they are first met."""
+        polynomials = list(polynomials)
+        if not polynomials:
+            raise DomainError("a block needs at least one observable")
+        d, degree = polynomials[0].d, polynomials[0].degree
+        position: dict[CountVector, int] = {}
+        for g in polynomials:
+            if (g.d, g.degree) != (d, degree):
+                raise DomainError(
+                    f"a block holds one shape: d={g.d}, degree {g.degree} "
+                    f"after d={d}, degree {degree}"
+                )
+            for n in g.terms:
+                position.setdefault(n, len(position))
+        coefficients = np.zeros((len(position), len(polynomials)))
+        for j, g in enumerate(polynomials):
+            coefficients[[position[n] for n in g.terms], j] = list(g.terms.values())
+        coefficients.setflags(write=False)
+        return cls(d, degree, tuple(position), coefficients)
+
+    @property
+    def size(self) -> int:
+        """B, the number of observables."""
+        return self.coefficients.shape[1]
+
+    @cached_property
+    def term_counts(self) -> np.ndarray:
+        """terms as a (terms x d) int64 array."""
+        return np.array(self.terms, dtype=np.int64).reshape(-1, self.d)
+
+    @cached_property
+    def coefficient_matrix(self) -> np.ndarray:
+        """Coefficients in compositions(degree, d) order, one column per observable; read-only."""
+        out = np.zeros((num_compositions(self.degree, self.d), self.size))
+        out[ranks(self.term_counts, self.degree)] = self.coefficients
+        out.setflags(write=False)
+        return out
+
+
+def lift_block(block: PolynomialBlock, target_degree: int) -> np.ndarray:
+    """Each column multiplied by (theta_1+...+theta_d)**(target_degree - degree).
+
+    Returns the lifted coefficients in compositions(target_degree, d)
+    order, one column per observable, those below the prune threshold
+    set to 0.  A lifted coefficient past the float range in any column
+    raises DomainError.
+    """
+    lift = target_degree - block.degree
     if lift < 0:
         raise DomainError(
-            f"cannot lower degree: target {target_degree} < degree {g.degree}"
+            f"cannot lower degree: target {target_degree} < degree {block.degree}"
         )
-    if lift == 0:
-        return g
-    d = g.d
-    term_counts = np.array(list(g.terms), dtype=np.int64).reshape(-1, d)
-    coeffs = np.fromiter(g.terms.values(), dtype=float, count=len(g.terms))
+    d, size = block.d, block.size
+    term_counts, coeffs = block.term_counts, block.coefficients
     lift_counts, weights = composition_array(lift, d), orbit_sizes(lift, d)
-    comps = compositions(target_degree, d)
-    values = np.zeros(len(comps))
-    # one product per lift composition m (weight orbit_size(m), its multinomial)
-    # and term n, m-major: np.add.at adds them in that order, block after block,
-    # so every lifted coefficient rounds as the sum over m, then over n, does
-    step = max(1, _LIFT_BLOCK // max(1, len(coeffs)))
+    values = np.zeros(num_compositions(target_degree, d) * size)
+    columns = np.arange(size)
+    # one product per lift composition m (weight orbit_size(m), its multinomial),
+    # term n and column, m-major: np.add.at adds them in that order, block
+    # after block, so every lifted coefficient rounds as the sum over m, then
+    # over n, does; one m and the target fix n, so the term order never matters
+    step = max(1, _LIFT_BLOCK // max(1, coeffs.size))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         for start in range(0, len(weights), step):
-            block = slice(start, start + step)
-            keys = (lift_counts[block, None, :] + term_counts[None, :, :]).reshape(-1, d)
-            products = (weights[block, None] * coeffs[None, :]).ravel()
-            np.add.at(values, ranks(keys, target_degree), products)
+            block_m = slice(start, start + step)
+            keys = (lift_counts[block_m, None, :] + term_counts[None, :, :]).reshape(-1, d)
+            index = ranks(keys, target_degree)
+            if size > 1:
+                index = (index[:, None] * size + columns).ravel()
+            products = (weights[block_m, None, None] * coeffs[None, :, :]).ravel()
+            np.add.at(values, index, products)
     if not np.isfinite(values).all():
         raise DomainError(
             f"lifting to length s={target_degree} overflows: "
             "a lifted coefficient exceeds the float range"
         )
-    kept = np.abs(values) >= _PRUNE
-    values[~kept] = 0.0
+    values[np.abs(values) < _PRUNE] = 0.0
+    return values.reshape(-1, size)
+
+
+def homogenize(g: SimplexPolynomial, target_degree: int) -> SimplexPolynomial:
+    """Multiply g by (theta_1+...+theta_d)**(target_degree - degree).
+
+    On the simplex the values are unchanged; the result is homogeneous of
+    the target degree.  The coefficients are lift_block's for g as a block
+    of one.  A lifted coefficient past the float range raises DomainError.
+    """
+    if target_degree == g.degree:
+        return g
+    values = lift_block(PolynomialBlock.of([g]), target_degree)[:, 0]
+    kept = values != 0.0  # lift_block has set the pruned coefficients to 0
+    comps = compositions(target_degree, g.d)
     terms = dict(zip(compress(comps, kept.tolist()), values[kept].tolist()))
-    return SimplexPolynomial._checked(d, target_degree, terms, values)
+    return SimplexPolynomial._checked(g.d, target_degree, terms, values)
 
 
 def evaluate(g: SimplexPolynomial, theta) -> float:

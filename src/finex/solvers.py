@@ -190,25 +190,29 @@ def certificate_residuals(
     non-negative column, or |reduced cost| on a free one (clipped at 0);
     complementary_slackness: max |x_j * reduced_cost_j|.  A pair within
     tolerance on all three is optimal, whatever algorithm produced it.
+    Given (n x B) arrays, one pair per column, each residual is an array
+    of B, column j's residual; given vectors, each is a float.
     """
-    dual_violation = float(
-        max(
-            reduced[~free].max(initial=-np.inf),
-            np.abs(reduced[free]).max(initial=0.0),
-        )
-    )
-    return {
-        "primal": float(np.abs(gap).max(initial=0.0)),
-        "dual": max(dual_violation, 0.0),
-        "complementary_slackness": float(np.abs(x * reduced).max(initial=0.0)),
+    constrained = reduced[~free].max(axis=0, initial=-np.inf)
+    unrestricted = np.abs(reduced[free]).max(axis=0, initial=0.0)
+    # np.where(b > a, b, a) is Python's max(a, b), a NaN in b and a -0.0 in a included
+    dual = np.where(unrestricted > constrained, unrestricted, constrained)
+    residuals = {
+        "primal": np.abs(gap).max(axis=0, initial=0.0),
+        "dual": np.where(0.0 > dual, 0.0, dual),
+        "complementary_slackness": np.abs(x * reduced).max(axis=0, initial=0.0),
     }
+    if np.ndim(gap) == 1:
+        return {key: float(value) for key, value in residuals.items()}
+    return residuals
 
 
-def within_tolerances(residuals: dict, tolerances: Tolerances) -> bool:
+def within_tolerances(residuals: dict, tolerances: Tolerances):
+    """Whether each residual is within its tolerance; per column for residual arrays."""
     return (
-        residuals["primal"] <= tolerances.primal_feasibility
-        and residuals["dual"] <= tolerances.dual_feasibility
-        and residuals["complementary_slackness"] <= tolerances.complementary_slackness
+        (residuals["primal"] <= tolerances.primal_feasibility)
+        & (residuals["dual"] <= tolerances.dual_feasibility)
+        & (residuals["complementary_slackness"] <= tolerances.complementary_slackness)
     )
 
 

@@ -16,7 +16,6 @@ from finex.errors import SolverFailure
 from finex.exchangeable import from_sequence_probs, to_json as dist_to_json
 from finex.multiindex import (
     composition_array,
-    compositions,
     num_compositions,
     orbit_sizes,
     ranks,
@@ -400,34 +399,29 @@ def psd_quadratic(d, seed):
     return SimplexPolynomial(d, 2, terms)
 
 
-def term_major_homogenize(g, target_degree):
-    """homogenize with one fault: products laid out term-major, rank keys m-major.
+def term_major_lift_block(block, target_degree):
+    """lift_block with one fault: products laid out term-major, rank keys m-major.
 
     Each product of a lift composition m and a term n then lands on the urn
     of another (m, n) pair, so the lifted coefficients sit on the wrong urns.
     """
-    lift = target_degree - g.degree
-    if lift == 0:
-        return g
-    d = g.d
-    term_counts = np.array(list(g.terms), dtype=np.int64).reshape(-1, d)
-    coeffs = np.fromiter(g.terms.values(), dtype=float, count=len(g.terms))
-    keys = (composition_array(lift, d)[:, None, :] + term_counts[None, :, :]).reshape(-1, d)
-    products = (coeffs[:, None] * orbit_sizes(lift, d)[None, :]).ravel()
-    values = np.zeros(num_compositions(target_degree, d))
-    np.add.at(values, ranks(keys, target_degree), products)
-    comps = compositions(target_degree, d)
-    return SimplexPolynomial(d, target_degree, dict(zip(comps, values.tolist())))
+    lift = target_degree - block.degree
+    d = block.d
+    keys = (composition_array(lift, d)[:, None, :] + block.term_counts[None, :, :]).reshape(-1, d)
+    products = block.coefficients[:, None, :] * orbit_sizes(lift, d)[None, :, None]
+    values = np.zeros((num_compositions(target_degree, d), block.size))
+    np.add.at(values, ranks(keys, target_degree), products.reshape(-1, block.size))
+    return values
 
 
 class TestLiftMutant:
     """A faulty lift must be caught by the routes' agreement in the commands.
 
     The sqrt mutant weights each lift composition by the square root of its
-    orbit size; the term-major mutant is term_major_homogenize.  Only the
-    oracle lifts: the cone LP reduces g itself and the boson route sums
-    falling factorials, so the oracle alone is wrong, and each route still
-    answers on its own.
+    orbit size; the term-major mutant is term_major_lift_block, in place of
+    the lift_block the oracle calls.  Only the oracle lifts: the cone LP
+    reduces g itself and the boson route sums falling factorials, so the
+    oracle alone is wrong, and each route still answers on its own.
     """
 
     @pytest.fixture
@@ -447,7 +441,7 @@ class TestLiftMutant:
             request.getfixturevalue("sqrt_lift")
         else:
             for module in (finex.polynomial, finex.exchangeable):
-                monkeypatch.setattr(module, "homogenize", term_major_homogenize)
+                monkeypatch.setattr(module, "lift_block", term_major_lift_block)
 
     @pytest.fixture
     def psd_path(self, tmp_path):
@@ -479,6 +473,37 @@ class TestLiftMutant:
         assert "FAIL  three-method-agreement" in captured.out
         assert captured.err == ""
 
+    def test_verify_names_the_worst_case(self, sqrt_lift, capsys):
+        import re
+
+        import finex.cli
+        from finex.bernstein_lp import lower_bound_lp
+        from finex.boson import quantum_bound
+        from finex.exchangeable import oracle_bound
+
+        assert main(["verify", "--seed", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FAIL  three-method-agreement")
+        found = re.fullmatch(
+            r"      worst case: observable (\d+) of the seed's stream \(d=(\d+)\) at s=(\d+); "
+            r"(\w+) is farthest from the other two routes",
+            lines[1],
+        )
+        assert found is not None
+        assert lines[2].startswith("PASS")
+        # recompute every spread by single calls: the named case is the first largest
+        observables = finex.cli._seeded_quadratics(np.random.default_rng(0))
+        spreads = {}
+        for i, g in enumerate(observables):
+            for s in range(2, 6):
+                values = [f(g, s).value for f in (oracle_bound, lower_bound_lp, quantum_bound)]
+                spreads[i, s] = (max(values) - min(values), values)
+        (i, s), (worst, values) = max(spreads.items(), key=lambda item: item[1][0])
+        assert (int(found[1]), int(found[2]), int(found[3])) == (i, observables[i].d, s)
+        assert lines[0].split()[-1] == finex.cli.fmt(worst)
+        assert found[4] == "oracle"
+        assert abs(values[1] - values[2]) < 1e-12 < abs(values[0] - values[1])
+
     def test_bound_lp_alone_is_right(self, sqrt_lift, psd_path, capsys):
         argv = ["bound", "--observable", psd_path, "--s", "7", "--method", "lp"]
         assert main(argv) == 0
@@ -508,24 +533,31 @@ class TestLiftMutant:
 
 
 class TestOneLiftPerLength:
-    """The oracle lifts once per length, and the LP and boson routes never do."""
+    """The oracle lifts once per length, and the LP and boson routes never do.
+
+    Every lift goes through lift_block (homogenize calls it too), so the
+    count wraps it in each finex module that binds the name.
+    """
 
     @pytest.fixture
     def lifts(self, monkeypatch):
         import finex.bernstein_lp
         import finex.boson
+        import finex.cli
         import finex.exchangeable
         import finex.polynomial
 
         lengths = []
-        real = finex.polynomial.homogenize
+        real = finex.polynomial.lift_block
 
-        def counting(g, s):
+        def counting(block, s):
             lengths.append(s)
-            return real(g, s)
+            return real(block, s)
 
-        for module in (finex.polynomial, finex.exchangeable, finex.bernstein_lp, finex.boson):
-            monkeypatch.setattr(module, "homogenize", counting)
+        modules = (finex.polynomial, finex.exchangeable, finex.bernstein_lp, finex.boson, finex.cli)
+        for module in modules:
+            if hasattr(module, "lift_block"):
+                monkeypatch.setattr(module, "lift_block", counting)
         return lengths
 
     def test_bound_all_lifts_once(self, lifts, witness_path, capsys):
@@ -544,6 +576,12 @@ class TestOneLiftPerLength:
         assert len(capsys.readouterr().out.strip().splitlines()) == 6
         assert lifts == [2, 3, 4, 5, 6]
 
+    def test_verify_lifts_once_per_block_and_length(self, lifts, capsys):
+        # the agreement row's two blocks (d = 2 and 3) at s = 2..5, then the
+        # reference-values row's witness at s = 2 and 3
+        assert main(["verify", "--seed", "0"]) == 0
+        assert lifts == [2, 3, 4, 5] * 2 + [2, 3]
+
 
 class TestVerify:
     def test_negative_seed_exits_2(self, capsys):
@@ -557,6 +595,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 7
+        assert len(out.splitlines()) == 8  # no worst-case line under a PASS
 
     def test_injected_perturbation_fails(self, capsys):
         assert main(["verify", "--seed", "0", "--inject-perturbation"]) == 1

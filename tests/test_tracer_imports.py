@@ -4,7 +4,9 @@ perfbench/tracer.py wraps some functions under the name a module imports
 them by, so the module keeps the import, marked with a noqa comment that
 says so.  Were the module to call such a name, one route would quietly be
 calling another's code again (the cone LP into the oracle, the LP or the
-boson route into the lift); this scan makes that fail the suite.
+boson route into the lift), or the oracle would lift through homogenize
+again and build the lifted terms dict it never reads; this scan makes
+that fail the suite.
 """
 
 import ast
@@ -55,6 +57,7 @@ def test_the_routes_keep_their_tracer_only_names():
         "simplex_solve",
     }
     assert tracer_only_names(sources["boson.py"]) == {"homogenize"}
+    assert tracer_only_names(sources["exchangeable.py"]) == {"homogenize"}
 
 
 def test_scan_sees_a_use_of_a_marked_name_only():
