@@ -13,8 +13,11 @@ and the cone LP tests the classical/quantum equivalence instead of
 assuming it.
 
 Dense tensor-space objects (symmetrizer, permutation matrices, dense
-density matrices) are capped at d**s <= 4096; they exist to let tests
-verify the compressed path against literal matrix algebra.
+density matrices) are capped at d**s <= 4096.  They check the compressed
+path against literal matrix algebra: the tests run them, and so does
+every `finex verify` invocation (its four dense rows).  The tensor basis
+and each sequence's orbit, which they are built from, are cached per
+(s, d) as read-only arrays; the matrices returned are fresh and writable.
 """
 
 from __future__ import annotations
@@ -53,7 +56,19 @@ from .solvers import jacobi_eigen, require_hermitian
 DENSE_CAP = 4096
 
 
-def _check_dense(s: int, d: int) -> int:
+def _check_dense(s: int, d: int, order: np.ndarray | None = None) -> int:
+    """Refuse bad or oversized arguments before any cached call; return d**s.
+
+    s must be an integer >= 0 and d an integer >= 1 (bool, an int
+    subclass, is neither); order, one permutation per row, must be a
+    table of integers.
+    """
+    for value, name, minimum in ((s, "s", 0), (d, "d", 1)):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not integer or value < minimum:
+            raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if order is not None and (order.ndim != 2 or order.size and order.dtype.kind not in "iu"):
+        raise DomainError("permutation entries must be machine integers")
     dim = d**s
     if dim > DENSE_CAP:
         raise CapacityError(
@@ -63,16 +78,28 @@ def _check_dense(s: int, d: int) -> int:
     return dim
 
 
+@lru_cache(maxsize=None)
 def _outcomes(s: int, d: int) -> np.ndarray:
-    """outcomes[i, j] is draw i of sequences(s, d)[j], the row-major tensor basis."""
-    return np.indices((d,) * s).reshape(s, d**s)
+    """outcomes[i, j] is draw i of sequences(s, d)[j], the row-major tensor basis.
+
+    Read-only; callers run _check_dense first.
+    """
+    out = np.indices((d,) * s).reshape(s, d**s)
+    out.setflags(write=False)
+    return out
 
 
+@lru_cache(maxsize=None)
 def _sequence_orbits(s: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank and orbit size of each sequence's count vector, over sequences(s, d)."""
-    _check_dense(s, d)
+    """Rank and orbit size of each sequence's count vector, over sequences(s, d).
+
+    Read-only; callers run _check_dense first.
+    """
     k = ranks((_outcomes(s, d)[:, :, None] == np.arange(d)).sum(axis=0), s)
-    return k, orbit_sizes(s, d)[k]
+    orbits = orbit_sizes(s, d)[k]
+    k.setflags(write=False)
+    orbits.setflags(write=False)
+    return k, orbits
 
 
 @dataclass(frozen=True)
@@ -98,6 +125,7 @@ class OccupationBasis:
 
     def dense_isometry(self) -> np.ndarray:
         """V with columns (1/sqrt(orbit)) * sum of the orbit's basis vectors."""
+        _check_dense(self.s, self.d)
         k, orbits = _sequence_orbits(self.s, self.d)
         v = np.zeros((len(k), self.dimension))
         v[np.arange(len(k)), k] = 1.0 / np.sqrt(orbits)
@@ -110,8 +138,11 @@ class BosonDensityMatrix:
 
     matrix lives on the occupation basis; the dense tensor-space state is
     V @ matrix @ V.conj().T.  PSD and unit trace are validated on
-    construction; the symmetry constraint holds by construction because
-    the occupation basis spans exactly the symmetric subspace.
+    construction, against the fixed DEFAULT_TOLERANCES (normalization and
+    psd, and the eigensolver's hermiticity and eigen_residual); no
+    Tolerances record is threaded through.  The symmetry constraint holds
+    by construction because the occupation basis spans exactly the
+    symmetric subspace.
     """
 
     basis: OccupationBasis
@@ -137,22 +168,42 @@ class BosonDensityMatrix:
         # equal to V @ matrix @ V^H, but written with one exact integer
         # orbit product per entry: same-orbit entries come out bit-exact
         # (probability/orbit_size) instead of picking up sqrt round-off
+        _check_dense(self.basis.s, self.basis.d)
         idx, orb = _sequence_orbits(self.basis.s, self.basis.d)
         return self.matrix[np.ix_(idx, idx)] / np.sqrt(np.outer(orb, orb))
 
 
-def permutation_matrix(perm, d: int) -> np.ndarray:
-    """Tensor-factor relabelling: maps e_seq to e_(seq reordered by perm)."""
-    perm = tuple(perm)
-    s = len(perm)
-    if sorted(perm) != list(range(s)):
-        raise DomainError(f"{perm} is not a permutation of 0..{s - 1}")
-    dim = _check_dense(s, d)
+def permutation_matrices(perms, d: int) -> np.ndarray:
+    """Stack of tensor-factor relabellings, one (d**s, d**s) slice per permutation.
+
+    Slice i maps e_seq to e_(seq reordered by perms[i]); every permutation
+    has the same length s.  The stack is built with one scatter.
+    """
+    perms = [tuple(perm) for perm in perms]
+    if not perms:
+        raise DomainError("permutation_matrices needs at least one permutation")
+    s = len(perms[0])
+    if any(len(perm) != s for perm in perms):
+        raise DomainError("permutations of different lengths cannot share a stack")
+    order = np.array(perms)
+    dim = _check_dense(s, d, order)
+    for perm in perms:
+        if sorted(perm) != list(range(s)):
+            raise DomainError(f"{perm} is not a permutation of 0..{s - 1}")
+    order = order.astype(np.intp, copy=False)  # np.array([()]) is float
     # column j is sequence j; its reordering sits at its row-major index
-    rows = d ** np.arange(s - 1, -1, -1) @ _outcomes(s, d)[list(perm)]
-    p = np.zeros((dim, dim))
-    p[rows, np.arange(dim)] = 1.0
+    rows = d ** np.arange(s - 1, -1, -1) @ _outcomes(s, d)[order]
+    p = np.zeros((len(perms), dim, dim))
+    p[np.arange(len(perms))[:, None], rows, np.arange(dim)] = 1.0
     return p
+
+
+def permutation_matrix(perm, d: int) -> np.ndarray:
+    """Tensor-factor relabelling: maps e_seq to e_(seq reordered by perm).
+
+    permutation_matrices for a stack of one.
+    """
+    return permutation_matrices([perm], d)[0]
 
 
 def symmetrizer(s: int, d: int) -> np.ndarray:
@@ -162,6 +213,7 @@ def symmetrizer(s: int, d: int) -> np.ndarray:
     built here from the orbit structure (entries 1/orbit_size within an
     orbit block), which is the same matrix without the factorial sum.
     """
+    _check_dense(s, d)
     k, orbits = _sequence_orbits(s, d)
     return np.where(k[:, None] == k[None, :], 1.0 / orbits[:, None], 0.0)
 

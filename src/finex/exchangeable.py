@@ -50,6 +50,8 @@ class ExchangeableDistribution:
 
     orbit_probs[n] is the total probability of all orderings with counts n;
     each individual sequence in the orbit carries orbit_probs[n]/orbit_size(n).
+    Construction validates against the fixed DEFAULT_TOLERANCES (negativity
+    and normalization); no Tolerances record is threaded through.
     """
 
     d: int

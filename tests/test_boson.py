@@ -11,10 +11,13 @@ import pytest
 from finex.boson import (
     BosonDensityMatrix,
     _falling_factorials,
+    _outcomes,
+    _sequence_orbits,
     OccupationBasis,
     compress,
     compress_hermitian,
     occupation_diagonal,
+    permutation_matrices,
     permutation_matrix,
     quantum_bound,
     rho_from_exchangeable,
@@ -176,6 +179,68 @@ class TestPermutationMatrix:
     def test_rejects_non_permutation(self):
         with pytest.raises(DomainError):
             permutation_matrix((0, 0), 2)
+
+
+class TestDenseArguments:
+    """Bad (s, d) or permutation entries are refused before any cached call."""
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (symmetrizer, (2, 0)),
+            (symmetrizer, (-1, 2)),
+            (symmetrizer, (2, -2)),
+            (symmetrizer, (2.0, 2)),
+            (symmetrizer, (True, 2)),
+            (permutation_matrix, ((0, 1), -1)),
+            (permutation_matrix, ((0, 1), 0)),
+            (permutation_matrix, ((0.0, 1), 2)),
+            (permutation_matrix, ((True, False), 2)),
+            (permutation_matrix, (((0, 1), (1, 0)), 2)),
+            (permutation_matrices, ([], 2)),
+            (permutation_matrices, ([(0, 1), (0,)], 2)),
+        ],
+        ids=[
+            "symmetrizer-d0",
+            "symmetrizer-negative-s",
+            "symmetrizer-negative-d",
+            "symmetrizer-float-s",
+            "symmetrizer-bool-s",
+            "permutation-negative-d",
+            "permutation-d0",
+            "permutation-float-entry",
+            "permutation-bool-entries",
+            "permutation-nested-entries",
+            "stack-empty",
+            "stack-mixed-lengths",
+        ],
+    )
+    def test_domain_error(self, build, args):
+        with pytest.raises(DomainError):
+            build(*args)
+
+
+class TestDenseCaches:
+    def test_cached_bases_are_read_only(self):
+        for s, d in [(0, 2), (1, 1), (2, 3), (4, 3)]:
+            symmetrizer(s, d)  # fills both caches
+            assert not _outcomes(s, d).flags.writeable
+            assert not any(a.flags.writeable for a in _sequence_orbits(s, d))
+
+    def test_returned_matrices_are_fresh(self):
+        rng = np.random.default_rng(8)
+        rho = random_boson_state(rng, 3, 2)
+        builds = [
+            lambda: symmetrizer(3, 2),
+            lambda: OccupationBasis(2, 3).dense_isometry(),
+            lambda: rho.dense(),
+            lambda: permutation_matrix((1, 2, 0), 2),
+        ]
+        for build in builds:
+            first = build()
+            expected = first.copy()
+            first[...] = 7.0  # writable, and not the cache's storage
+            assert np.array_equal(build(), expected)
 
 
 class TestOccupationBasis:

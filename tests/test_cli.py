@@ -599,7 +599,14 @@ class TestVerify:
 
     def test_injected_perturbation_fails(self, capsys):
         assert main(["verify", "--seed", "0", "--inject-perturbation"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["symmetrizer-projector"]
+        # the perturbed symmetrizer must not reach the cached bases
+        assert main(["verify", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert out.count("PASS") == 7
 
     def test_deterministic_output(self, capsys):
         main(["verify", "--seed", "3"])

@@ -4,27 +4,31 @@ The references below are the straightforward loops: the dict convolution
 for homogenize, one orbit_size division per composition for the oracle
 and the boson diagonal, one enumeration-position lookup for the LP's b,
 and one sequence_to_counts + rank + orbit_size (or one reordered sequence)
-per sequence for the dense tensor-space matrices.  Every comparison is
+per sequence for the dense tensor-space matrices, and one permutation
+matrix per drawn permutation for verify's four dense rows.  Every comparison is
 bitwise but two: the LP's b against reduce_to_free_vars, which sums in
 another order, is held to 1e-15 of the largest entry, and the boson
 minimum, which comes from falling factorials and not from the lift, to
 4 units in the last place of the largest urn value.
 """
 
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
 
 import finex.polynomial
 from finex.bernstein_lp import assemble
+from finex import boson
 from finex.boson import (
     BosonDensityMatrix,
     OccupationBasis,
+    permutation_matrices,
     permutation_matrix,
     quantum_bound,
     symmetrizer,
 )
+from finex.cli import _seeded_quadratics, _verify_checks
 from finex.exchangeable import oracle_bound
 from finex.multiindex import (
     compositions,
@@ -202,5 +206,89 @@ def test_dense_matrices_match_the_per_sequence_loops(d, s):
     assert np.array_equal(
         rho.dense().view(np.int64), reference_dense(rho).view(np.int64)
     )
-    for perm in permutations(range(s)):
-        assert np.array_equal(permutation_matrix(perm, d), reference_permutation_matrix(perm, d))
+    perms = list(permutations(range(s)))  # s = 0 has one, the empty permutation
+    stack = permutation_matrices(perms, d)
+    assert stack.shape == (len(perms), d**s, d**s)
+    for perm, p in zip(perms, stack):
+        reference = reference_permutation_matrix(perm, d)
+        assert np.array_equal(bits(p), bits(reference))
+        assert np.array_equal(bits(permutation_matrix(perm, d)), bits(reference))
+
+
+def reference_dense_rows(seed, perturb):
+    """verify's four dense-row residuals, one permutation matrix per drawn permutation."""
+    rng = np.random.default_rng(seed)
+    _seeded_quadratics(rng)  # the agreement row draws first
+
+    worst_projector = 0.0
+    for d in (2, 3):
+        for s in (2, 3, 4):
+            pi = boson.symmetrizer(s, d)
+            if perturb:
+                pi = pi.copy()
+                pi[0, 0] += 1e-3
+            worst_projector = max(
+                worst_projector,
+                float(np.abs(pi @ pi - pi).max()),
+                float(np.abs(pi - pi.T).max()),
+            )
+
+    worst_absorb = 0.0
+    for d in (2, 3):
+        for s in (2, 3, 4):
+            pi = boson.symmetrizer(s, d)
+            for _ in range(10):
+                perm = tuple(int(v) for v in rng.permutation(s))
+                p = boson.permutation_matrix(perm, d)
+                worst_absorb = max(
+                    worst_absorb,
+                    float(np.abs(pi @ p - pi).max()),
+                    float(np.abs(p @ pi - pi).max()),
+                )
+
+    worst_gram = 0.0
+    for d in (2, 3):
+        for s in range(1, 6):
+            v = boson.OccupationBasis(d, s).dense_isometry()
+            gram = v.T @ v
+            worst_gram = max(worst_gram, float(np.abs(gram - np.eye(v.shape[1])).max()))
+
+    worst_state = 0.0
+    for d, s in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        basis = boson.OccupationBasis(d, s)
+        z = rng.normal(size=(basis.dimension, basis.dimension)) + 1j * rng.normal(
+            size=(basis.dimension, basis.dimension)
+        )
+        m = z @ z.conj().T
+        m /= np.trace(m).real
+        dense = boson.BosonDensityMatrix(basis, m).dense()
+        for _ in range(5):
+            perm = tuple(int(v) for v in rng.permutation(s))
+            p = boson.permutation_matrix(perm, d)
+            worst_state = max(
+                worst_state,
+                float(np.abs(p @ dense - dense).max()),
+                float(np.abs(dense @ p.T - dense).max()),
+            )
+    return [worst_projector, worst_absorb, worst_gram, worst_state]
+
+
+DENSE_ROWS = [
+    "symmetrizer-projector",
+    "symmetrizer-absorbs-permutations",
+    "occupation-orthonormality",
+    "state-index-symmetry",
+]
+
+
+@pytest.mark.parametrize(
+    "perturb, seeds", [(False, range(64)), (True, (0, 5, 17))], ids=["plain", "perturbed"]
+)
+def test_verify_dense_rows_match_the_per_permutation_loops(perturb, seeds):
+    for seed in seeds:
+        rows = list(islice(_verify_checks(seed, 1e-7, perturb), 1, 5))
+        assert [name for name, *_ in rows] == DENSE_ROWS
+        residuals = [residual for _, _, residual, _ in rows]
+        assert [r.hex() for r in residuals] == [
+            r.hex() for r in reference_dense_rows(seed, perturb)
+        ], f"seed {seed}"
