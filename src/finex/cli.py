@@ -213,7 +213,10 @@ def _route_agreement(observables: list[SimplexPolynomial], tol: float):
 
 
 def _residual(product: np.ndarray, target: np.ndarray) -> float:
-    """max |product - target|, formed in product's own buffer (product is overwritten)."""
+    """max |product - target|, formed in product's own buffer (product is overwritten).
+
+    A complex buffer keeps |.| in its real parts, hence the .real.
+    """
     product -= target
     return float(np.abs(product, out=product).real.max())
 
