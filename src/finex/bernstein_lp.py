@@ -39,8 +39,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DomainError, SolverFailure
+from .config import DEFAULT_TOLERANCES
+from .errors import SolverFailure
 from .exchangeable import (
     BoundResult,
     oracle_bound,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
@@ -186,8 +186,7 @@ def _right_hand_sides(block: PolynomialBlock, s: int) -> np.ndarray:
     coefficients, k = block.degree), pruned and placed at the rows
     (e, s - |e|).
     """
-    if s < block.degree:
-        raise DomainError(f"sequence length {s} < polynomial degree {block.degree}")
+    block.check_length(s)
     d, k = block.d, block.degree
     x = block.coefficient_matrix
     st = _structure(d, k)
@@ -214,9 +213,7 @@ def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as for _right_hand_sides
-def _solve(
-    d: int, s: int, b: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+def _solve(d: int, s: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Optimal primal/dual pair of each column of b from the u-block basis B and one pivot.
 
     B^-1 is cached with the structure, so no system is solved.  With B
@@ -229,8 +226,8 @@ def _solve(
     column's pair is validated like any other certificate, from B's own
     entries; A x and y A are summed before b and the objective are
     subtracted (subtracting b first misses the 1e-8 primal contract on
-    coefficients from 1e-6 to 1e12).  The first column outside the
-    tolerances raises SolverFailure with its residuals.
+    coefficients from 1e-6 to 1e12).  The first column outside
+    DEFAULT_TOLERANCES raises SolverFailure with its residuals.
     Returns (optimal values, primals, duals, residuals), one column (one
     entry of each residual array) per column of b.
     """
@@ -262,7 +259,7 @@ def _solve(
     reduced = -ya
     reduced[m] += 1.0  # objective - y A: the objective is c
     residuals = certificate_residuals(ax - b, reduced, primal, np.arange(m + 1) == m)
-    failed = np.flatnonzero(~within_tolerances(residuals, tol))
+    failed = np.flatnonzero(~within_tolerances(residuals))
     if len(failed):
         column = _column(residuals, failed[0])
         raise SolverFailure(f"cone LP validation failed: residuals {column}", column)
@@ -274,34 +271,29 @@ def _column(residuals: dict, j: int) -> dict:
     return {key: float(value[j]) for key, value in residuals.items()}
 
 
-def _structural_solve(
-    cone_lp: ConeMembershipLP, tol: Tolerances
-) -> tuple[float, np.ndarray, np.ndarray, dict]:
+def _structural_solve(cone_lp: ConeMembershipLP) -> tuple[float, np.ndarray, np.ndarray, dict]:
     """_solve for an assembled system, one column; returns (value, primal, dual, residuals)."""
-    c, primal, dual, residuals = _solve(cone_lp.d, cone_lp.s, cone_lp.b[:, None], tol)
+    c, primal, dual, residuals = _solve(cone_lp.d, cone_lp.s, cone_lp.b[:, None])
     return float(c[0]), primal[:, 0], dual[:, 0], _column(residuals, 0)
 
 
-def solve_lp(
-    cone_lp: ConeMembershipLP, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[float, np.ndarray, np.ndarray]:
+def solve_lp(cone_lp: ConeMembershipLP) -> tuple[float, np.ndarray, np.ndarray]:
     """Solve an assembled system; returns (optimal value, primal, dual).
 
     The solve starts from the structural basis (the u-block, whose inverse
-    is cached with it) and needs a single pivot, c entering; the result
-    is checked for primal, dual and complementary-slackness residuals
-    against the cached sparse A and b, and SolverFailure is raised otherwise.
+    is cached with it) and needs a single pivot, c entering; the result's
+    primal, dual and complementary-slackness residuals against the cached
+    sparse A and b must be within DEFAULT_TOLERANCES, and SolverFailure is
+    raised otherwise.
     The dual has one entry per monomial row; paired with the reduction of
     any degree-s monomial it prices that monomial's expectation, which is
     how the optimal dual encodes the minimizing exchangeable distribution.
     """
-    value, primal, dual, _ = _structural_solve(cone_lp, tolerances)
+    value, primal, dual, _ = _structural_solve(cone_lp)
     return value, primal, dual
 
 
-def lp_block(
-    block: PolynomialBlock, s: int, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+def lp_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """LP route to the worst-case expectation over length-s sequences, for each column.
 
     Builds every column's b from its reduction and solves them together
@@ -310,12 +302,10 @@ def lp_block(
     to the commands that compute more than one.  Returns (optimal values,
     primals, duals, residuals), one column each.
     """
-    return _solve(block.d, s, _right_hand_sides(block, s), tolerances)
+    return _solve(block.d, s, _right_hand_sides(block, s))
 
 
-def lower_bound_lp(
-    g: SimplexPolynomial, s: int, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> BoundResult:
+def lower_bound_lp(g: SimplexPolynomial, s: int) -> BoundResult:
     """LP route to the worst-case expectation over length-s sequences, for g alone.
 
     g is a block of one: assemble writes its b as lp_block does, and the
@@ -325,7 +315,7 @@ def lower_bound_lp(
     than one.
     """
     cone_lp = assemble(g, s)
-    value, primal, dual, residuals = _structural_solve(cone_lp, tolerances)
+    value, primal, dual, residuals = _structural_solve(cone_lp)
     u = {n: float(v) for n, v in zip(cone_lp.u_columns, primal[:-1]) if abs(v) > 0.0}
     certificate = {
         "u": u,

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import CapacityError, DomainError, SolverFailure
 from .exchangeable import BoundResult, ExchangeableDistribution
 from .multiindex import (
@@ -59,14 +59,11 @@ DENSE_CAP = 4096
 def _check_dense(s: int, d: int, order: np.ndarray | None = None) -> int:
     """Refuse bad or oversized arguments before any cached call; return d**s.
 
-    s must be an integer >= 0 and d an integer >= 1 (bool, an int
-    subclass, is neither); order, one permutation per row, must be a
-    table of integers.
+    s must be an integer >= 0 and d an integer >= 1 (require_int); order,
+    one permutation per row, must be a table of integers.
     """
-    for value, name, minimum in ((s, "s", 0), (d, "d", 1)):
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not integer or value < minimum:
-            raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    require_int(s, "s", 0)
+    require_int(d, "d", 1)
     if order is not None and (order.ndim != 2 or order.size and order.dtype.kind not in "iu"):
         raise DomainError("permutation entries must be machine integers")
     dim = d**s
@@ -139,10 +136,9 @@ class BosonDensityMatrix:
     matrix lives on the occupation basis; the dense tensor-space state is
     V @ matrix @ V.conj().T.  PSD and unit trace are validated on
     construction, against the fixed DEFAULT_TOLERANCES (normalization and
-    psd, and the eigensolver's hermiticity and eigen_residual); no
-    Tolerances record is threaded through.  The symmetry constraint holds
-    by construction because the occupation basis spans exactly the
-    symmetric subspace.
+    psd, and the eigensolver's hermiticity and eigen_residual).  The
+    symmetry constraint holds by construction because the occupation basis
+    spans exactly the symmetric subspace.
     """
 
     basis: OccupationBasis
@@ -150,7 +146,7 @@ class BosonDensityMatrix:
 
     def __post_init__(self):
         tol = DEFAULT_TOLERANCES
-        m = require_hermitian(self.matrix, tol)
+        m = require_hermitian(self.matrix)
         if m.shape[0] != self.basis.dimension:
             raise DomainError(
                 f"matrix dimension {m.shape[0]} != occupation dimension "
@@ -159,7 +155,7 @@ class BosonDensityMatrix:
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > tol.normalization:
             raise DomainError(f"density matrix trace {trace} != 1")
-        smallest = float(jacobi_eigen(m, tol).eigenvalues[0])
+        smallest = float(jacobi_eigen(m).eigenvalues[0])
         if smallest < -tol.psd:
             raise DomainError(f"density matrix not PSD: min eigenvalue {smallest}")
         object.__setattr__(self, "matrix", m)
@@ -279,8 +275,7 @@ def boson_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray]
     Returns each column's minimum and its occupation state's row in
     compositions(s, d); the first minimum wins ties.
     """
-    if s < block.degree:
-        raise DomainError(f"sequence length {s} < polynomial degree {block.degree}")
+    block.check_length(s)
     counts = composition_array(s, block.d)
     table = _falling_factorials(block.degree, s)
     diagonal = np.zeros((len(counts), block.size))
@@ -426,8 +421,9 @@ def _project_to_simplex(x: np.ndarray) -> np.ndarray:
     return np.maximum(x - tau, 0.0)
 
 
-def _descent_starts(d: int, total: int = 64) -> np.ndarray:
-    """Corners, edge midpoints, barycenter, then seeded random fill."""
+def _descent_starts(d: int) -> np.ndarray:
+    """64 starts: corners, edge midpoints, barycenter, then seeded random fill."""
+    total = 64
     starts = [np.eye(d)[i] for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
@@ -441,13 +437,13 @@ def _descent_starts(d: int, total: int = 64) -> np.ndarray:
     return np.array(starts[:total])
 
 
-def _grid_minimum(g: SimplexPolynomial, target_points: int = 100_000) -> float:
-    """Minimum over the densest rational grid with at most ~target points."""
+def _grid_minimum(g: SimplexPolynomial) -> float:
+    """Minimum over the densest rational grid with at most 1e5 points."""
     resolution = 1
     # at d = 1 the simplex is one point, and every resolution lists it once
-    while g.d > 1 and num_compositions(resolution + 1, g.d) <= target_points:
+    while g.d > 1 and num_compositions(resolution + 1, g.d) <= 100_000:
         resolution += 1
-    points = np.array(compositions(resolution, g.d), dtype=float) / resolution
+    points = composition_array(resolution, g.d) / resolution
     values = np.zeros(len(points))
     for n, c in g.terms.items():
         term = np.full(len(points), c)
@@ -458,15 +454,13 @@ def _grid_minimum(g: SimplexPolynomial, target_points: int = 100_000) -> float:
     return float(values.min())
 
 
-def simplex_minimum(
-    g: SimplexPolynomial, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def simplex_minimum(g: SimplexPolynomial) -> float:
     """Minimum of g over the probability simplex (the iid-mixture limit).
 
     Multistart projected gradient descent with backtracking, verified
     against a deterministic grid scan of roughly 1e5 simplex points: the
-    descent result must not exceed the grid minimum by more than the grid
-    slack, otherwise the routine failed and says so.
+    descent result must not exceed the grid minimum by more than
+    DEFAULT_TOLERANCES.grid_slack, otherwise the routine failed and says so.
     """
     best = np.inf
     for start in _descent_starts(g.d):
@@ -490,9 +484,9 @@ def simplex_minimum(
         best = min(best, value)
 
     grid = _grid_minimum(g)
-    if best > grid + tolerances.grid_slack:
+    slack = DEFAULT_TOLERANCES.grid_slack
+    if best > grid + slack:
         raise SolverFailure(
-            "descent missed the grid minimum",
-            {"descent": best, "grid": grid, "slack": tolerances.grid_slack},
+            "descent missed the grid minimum", {"descent": best, "grid": grid, "slack": slack}
         )
     return float(best)

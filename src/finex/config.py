@@ -1,11 +1,17 @@
 """Central tolerance record.
 
-Every numerical threshold used anywhere in the package lives in this one
-frozen dataclass, so there is a single tuning point.  The defaults are the
-contract values quoted in error messages and enforced by the test suite;
-override them only by constructing a new record and passing it explicitly.
-The eigensolver has no iteration knob: LAPACK runs its own iteration, and
-finex bounds only the input's Hermiticity and the result's residual.
+The certificate, eigensolver, distribution, pruning and agreement
+thresholds live in this one frozen dataclass.  Every check reads its
+threshold from DEFAULT_TOLERANCES where it runs; no function takes a
+record.  The defaults are the contract values quoted in error messages and
+enforced by the test suite.  The one override is the agreement tolerance,
+which `--tol` or FINEX_TOL replace for a command.  A few fixed thresholds
+live beside their code instead: `verify`'s dense-row bounds (1e-12, and
+1e-10 for state-index symmetry), the simplex descent's 1e-15 improvement
+and 1e-14 step floor (boson.simplex_minimum), and `coin-demo`'s 1e-12
+check of the witness value.  The eigensolver has no iteration knob:
+LAPACK runs its own iteration, and finex bounds only the input's
+Hermiticity and the result's residual.
 """
 
 from dataclasses import dataclass

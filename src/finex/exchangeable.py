@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, ExchangeabilityError, NormalizationError
 from .multiindex import (
     CountVector,
@@ -51,7 +51,7 @@ class ExchangeableDistribution:
     orbit_probs[n] is the total probability of all orderings with counts n;
     each individual sequence in the orbit carries orbit_probs[n]/orbit_size(n).
     Construction validates against the fixed DEFAULT_TOLERANCES (negativity
-    and normalization); no Tolerances record is threaded through.
+    and normalization).
     """
 
     d: int
@@ -115,24 +115,23 @@ class BoundResult:
 
 
 def from_sequence_probs(
-    probs: dict[Sequence, float],
-    d: int,
-    r: int,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    probs: dict[Sequence, float], d: int, r: int
 ) -> ExchangeableDistribution:
     """Build a distribution from per-sequence probabilities.
 
     Verifies permutation symmetry: all sequences in one orbit must carry
-    equal probability within the symmetry tolerance.  Sequences absent
-    from the map count as probability zero.
+    equal probability within DEFAULT_TOLERANCES.symmetry_check.
+    Sequences absent from the map count as probability zero.  The
+    normalization is the constructor's check, on the orbit sums.
     """
+    tol = DEFAULT_TOLERANCES
     by_orbit: dict[CountVector, dict[Sequence, float]] = {}
     for seq, p in probs.items():
         seq = tuple(seq)
         if len(seq) != r:
             raise DomainError(f"sequence {seq} has length {len(seq)}, expected {r}")
         p = float(p)
-        if p < -tolerances.negativity:
+        if p < -tol.negativity:
             raise DomainError(f"negative probability {p} for sequence {seq}")
         n = sequence_to_counts(seq, d)
         by_orbit.setdefault(n, {})[seq] = p
@@ -147,19 +146,12 @@ def from_sequence_probs(
                 values.setdefault(seq, 0.0)
         lo_seq = min(values, key=lambda s: values[s])
         hi_seq = max(values, key=lambda s: values[s])
-        if values[hi_seq] - values[lo_seq] > tolerances.symmetry_check:
+        if values[hi_seq] - values[lo_seq] > tol.symmetry_check:
             raise ExchangeabilityError(
                 f"not exchangeable: P{hi_seq} = {values[hi_seq]} but "
                 f"P{lo_seq} = {values[lo_seq]} (same orbit {n})"
             )
         orbit_probs[n] = sum(values.values())
-
-    total = sum(orbit_probs.values())
-    if abs(total - 1.0) > tolerances.normalization:
-        raise NormalizationError(
-            f"sequence probabilities sum to {total}, expected 1 within "
-            f"{tolerances.normalization}"
-        )
     return ExchangeableDistribution(d, r, orbit_probs)
 
 
@@ -183,7 +175,7 @@ def marginalize(dist: ExchangeableDistribution, r: int) -> ExchangeableDistribut
     sum_n P(n) * prod_i C(n_i, m_i) / C(s, r).
     """
     s = dist.r
-    if r > s:
+    if require_int(r, "marginal length", 0) > s:
         raise DomainError(
             f"marginal length {r} exceeds sequence length {s}; "
             "marginalization only shortens"
@@ -231,8 +223,7 @@ def oracle_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray
     break toward the earlier composition in the fixed enumeration order,
     making the certificate deterministic.
     """
-    if s < block.degree:
-        raise DomainError(f"sequence length {s} < polynomial degree {block.degree}")
+    block.check_length(s)
     values = lift_block(block, s) / orbit_sizes(s, block.d)[:, None]
     rows = np.argmin(values, axis=0)  # the first minimum: the earlier composition wins ties
     return values[rows, np.arange(block.size)], rows
@@ -273,8 +264,7 @@ def sample(
     Uses numpy's PCG64 generator, so a fixed seed gives the same stream on
     every platform.
     """
-    if count < 0:
-        raise DomainError("sample count must be >= 0")
+    require_int(count, "sample count", 0)
     rng = np.random.default_rng(seed)
     orbits = sorted(dist.orbit_probs)  # deterministic order
     probs = np.array([dist.orbit_probs[n] for n in orbits])

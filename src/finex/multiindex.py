@@ -27,31 +27,31 @@ CountVector = tuple[int, ...]
 Sequence = tuple[int, ...]
 
 
+def is_integer(value) -> bool:
+    """Whether value is a Python int or a numpy integer; bool, an int subclass, is not."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def validate_counts(n: CountVector) -> None:
     """Raise DomainError unless n is a valid count vector."""
     if len(n) < 1:
         raise DomainError("count vector needs at least one outcome")
-    if any(not isinstance(v, int) or v < 0 for v in n):
+    # one pass: is_integer is called only on an entry that is not a plain int
+    if any((type(v) is not int and not is_integer(v)) or v < 0 for v in n):
         raise DomainError(f"count vector entries must be non-negative integers: {n}")
 
 
 def require_int(value, name: str, minimum: int) -> int:
-    """Return value if it is an integer >= minimum, else raise DomainError.
-
-    For parsed JSON: type(), not isinstance, because JSON true and false
-    arrive as bool, an int subclass.
-    """
-    if type(value) is not int or value < minimum:
+    """Return value if it is an integer (is_integer) >= minimum, else raise DomainError."""
+    if not is_integer(value) or value < minimum:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
 def num_compositions(r: int, d: int) -> int:
     """Number of count vectors of degree r over d outcomes: C(r+d-1, d-1)."""
-    if d < 1:
-        raise DomainError("d must be >= 1")
-    if r < 0:
-        raise DomainError("degree must be >= 0")
+    require_int(d, "d", 1)
+    require_int(r, "degree", 0)
     return math.comb(r + d - 1, d - 1)
 
 
@@ -67,11 +67,16 @@ def _compositions(r: int, d: int) -> tuple[CountVector, ...]:
 
 
 @lru_cache(maxsize=None)
-def composition_array(r: int, d: int) -> np.ndarray:
-    """compositions(r, d) as a read-only int64 array, one row per count vector."""
+def _composition_array(r: int, d: int) -> np.ndarray:
     out = np.array(_compositions(r, d), dtype=np.int64).reshape(-1, d)
     out.setflags(write=False)
     return out
+
+
+def composition_array(r: int, d: int) -> np.ndarray:
+    """compositions(r, d) as a read-only int64 array, one row per count vector; cached."""
+    num_compositions(r, d)  # validates r and d before the cache, which takes True for 1
+    return _composition_array(r, d)
 
 
 def compositions(r: int, d: int) -> list[CountVector]:
@@ -111,12 +116,11 @@ def orbit_sizes(r: int, d: int) -> np.ndarray:
 
 def sequence_to_counts(seq: Sequence, d: int) -> CountVector:
     """Count the occurrences of each outcome in an ordered sequence."""
-    if d < 1:
-        raise DomainError("d must be >= 1")
+    require_int(d, "d", 1)
     counts = [0] * d
     for t in seq:
-        if not 0 <= t < d:
-            raise DomainError(f"outcome {t} out of range [0, {d})")
+        if not is_integer(t) or not 0 <= t < d:
+            raise DomainError(f"outcome {t!r} is not an integer in [0, {d})")
         counts[t] += 1
     return tuple(counts)
 
@@ -184,7 +188,7 @@ def rank(n: CountVector) -> int:
 
 def unrank(k: int, r: int, d: int) -> CountVector:
     """Inverse of rank: the k-th count vector of degree r over d outcomes."""
-    if not 0 <= k < num_compositions(r, d):
+    if require_int(k, "rank", 0) >= num_compositions(r, d):
         raise DomainError(f"rank {k} out of range for degree {r}, d={d}")
     out = []
     remaining = r

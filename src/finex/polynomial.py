@@ -33,6 +33,7 @@ from .multiindex import (
     CountVector,
     composition_array,
     compositions,
+    is_integer,
     num_compositions,
     orbit_size,
     orbit_sizes,
@@ -55,10 +56,8 @@ class SimplexPolynomial:
     terms: dict[CountVector, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError("polynomial needs d >= 1 variables")
-        if self.degree < 0:
-            raise DomainError("polynomial degree must be >= 0")
+        require_int(self.d, "d", 1)
+        require_int(self.degree, "degree", 0)
         cleaned = {}
         for n, c in self.terms.items():
             n = tuple(n)
@@ -156,6 +155,13 @@ class PolynomialBlock:
         """B, the number of observables."""
         return self.coefficients.shape[1]
 
+    def check_length(self, s: int) -> None:
+        """Raise DomainError unless s is an integer length >= degree; run before any cache."""
+        if not is_integer(s):
+            raise DomainError(f"sequence length must be an integer, got {s!r}")
+        if s < self.degree:
+            raise DomainError(f"sequence length {s} < polynomial degree {self.degree}")
+
     @cached_property
     def term_counts(self) -> np.ndarray:
         """terms as a (terms x d) int64 array."""
@@ -178,11 +184,8 @@ def lift_block(block: PolynomialBlock, target_degree: int) -> np.ndarray:
     set to 0.  A lifted coefficient past the float range in any column
     raises DomainError.
     """
+    block.check_length(target_degree)
     lift = target_degree - block.degree
-    if lift < 0:
-        raise DomainError(
-            f"cannot lower degree: target {target_degree} < degree {block.degree}"
-        )
     d, size = block.d, block.size
     term_counts, coeffs = block.term_counts, block.coefficients
     lift_counts, weights = composition_array(lift, d), orbit_sizes(lift, d)

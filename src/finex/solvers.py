@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, SolverFailure
 
 OPTIMAL = "optimal"
@@ -67,7 +67,7 @@ def _inverse(basis_matrix: np.ndarray) -> np.ndarray:
         raise SolverFailure(f"singular simplex basis: {exc}") from exc
 
 
-def _bland(a, b, cost, basis, n_enter, tol: Tolerances):
+def _bland(a, b, cost, basis, n_enter):
     """Maximize cost @ x over a x = b, x >= 0, from the feasible `basis`.
 
     Bland's rule: the lowest-index improving column enters, and among the
@@ -77,6 +77,7 @@ def _bland(a, b, cost, basis, n_enter, tol: Tolerances):
     n_enter never enter.  `basis` is updated in place; returns
     (status, inverse of the final basis, pivots).
     """
+    tol = DEFAULT_TOLERANCES
     iterations = 0
     while True:
         b_inv = _inverse(a[:, basis])
@@ -105,21 +106,19 @@ def _bland(a, b, cost, basis, n_enter, tol: Tolerances):
         iterations += 1
 
 
-def simplex_solve(
-    lp: LinearProgram, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> SimplexResult:
+def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Dense two-phase simplex under Bland's rule, with a primal/dual certificate.
 
     A reference implementation: the cone LP is solved structurally, and
     the tests check that solve against this one.  On OPTIMAL status the
-    result satisfies, within the configured tolerances: primal
+    result satisfies, within DEFAULT_TOLERANCES: primal
     feasibility ||a x - b||_inf, dual feasibility (all reduced costs
     <= 0, exactly 0 on free columns), and complementary slackness
     max |x_j * reduced_cost_j|.  A certificate outside them raises
     SolverFailure.
     """
     m, n = lp.a.shape
-    tol = tolerances
+    tol = DEFAULT_TOLERANCES
 
     # split free variables into positive and negative parts
     free_idx = np.flatnonzero(lp.free)
@@ -138,7 +137,7 @@ def simplex_solve(
     pool = np.hstack([a_std, np.eye(m)])
     cost1 = np.concatenate([np.zeros(n_std), -np.ones(m)])
     basis = np.arange(n_std, n_std + m)
-    status, b_inv, it1 = _bland(pool, b, cost1, basis, n_std, tol)
+    status, b_inv, it1 = _bland(pool, b, cost1, basis, n_std)
     if status != OPTIMAL:  # phase 1 objective is bounded above by zero
         raise SolverFailure("phase 1 terminated abnormally", {"status": status})
     infeasibility = float((b_inv @ b)[basis >= n_std].sum())
@@ -160,7 +159,7 @@ def simplex_solve(
     b_kept = b[keep]
 
     # phase 2 on the real columns and the kept rows
-    status, b_inv, it2 = _bland(a_std[keep], b_kept, c_std, basis, n_std, tol)
+    status, b_inv, it2 = _bland(a_std[keep], b_kept, c_std, basis, n_std)
     iterations = it1 + it2
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, None, iterations, {})
@@ -175,7 +174,7 @@ def simplex_solve(
     y[flip] *= -1  # undo the row orientation
 
     residuals = certificate_residuals(lp.a @ x - lp.b, lp.objective - y @ lp.a, x, lp.free)
-    if not within_tolerances(residuals, tol):
+    if not within_tolerances(residuals):
         raise SolverFailure("simplex certificate outside tolerances", residuals)
     return SimplexResult(OPTIMAL, float(lp.objective @ x), x, y, iterations, residuals)
 
@@ -207,12 +206,13 @@ def certificate_residuals(
     return residuals
 
 
-def within_tolerances(residuals: dict, tolerances: Tolerances):
-    """Whether each residual is within its tolerance; per column for residual arrays."""
+def within_tolerances(residuals: dict):
+    """Whether each residual is within its DEFAULT_TOLERANCES bound; per column for arrays."""
+    tol = DEFAULT_TOLERANCES
     return (
-        (residuals["primal"] <= tolerances.primal_feasibility)
-        & (residuals["dual"] <= tolerances.dual_feasibility)
-        & (residuals["complementary_slackness"] <= tolerances.complementary_slackness)
+        (residuals["primal"] <= tol.primal_feasibility)
+        & (residuals["dual"] <= tol.dual_feasibility)
+        & (residuals["complementary_slackness"] <= tol.complementary_slackness)
     )
 
 
@@ -225,7 +225,7 @@ class EigenDecomposition:
     diagnostics: dict = field(default_factory=dict)
 
 
-def require_hermitian(a: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Return a as a finite complex array, or raise if it is not Hermitian."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -235,30 +235,28 @@ def require_hermitian(a: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERANCES
         raise DomainError("matrix entries must be finite")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     gap = float(np.abs(a - a.conj().T).max(initial=0.0))
-    if gap > tolerances.hermiticity * scale:
+    if gap > DEFAULT_TOLERANCES.hermiticity * scale:
         raise DomainError(f"matrix is not Hermitian: max |A - A^H| = {gap}")
     return a
 
 
-def jacobi_eigen(
-    a: np.ndarray, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> EigenDecomposition:
+def jacobi_eigen(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a dense complex Hermitian matrix.
 
     LAPACK's Hermitian solver (numpy's eigh) does the work; the result is
     accepted only if its reconstruction residual ||A V - V diag(lambda)||_F
-    is within tol.eigen_residual * ||A||_F.  The name is kept from the
-    cyclic Jacobi solver this replaced, because it is public API.
+    is within DEFAULT_TOLERANCES.eigen_residual * ||A||_F, and the input
+    only if require_hermitian accepts it.  The name is kept from the cyclic
+    Jacobi solver this replaced, because it is public API.
     """
-    tol = tolerances
-    a = require_hermitian(a, tol)
+    a = require_hermitian(a)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"eigendecomposition failed: {exc}") from exc
     norm = float(np.linalg.norm(a))
     residual = float(np.linalg.norm(a @ vectors - vectors * values))
-    if not residual <= tol.eigen_residual * norm:
+    if not residual <= DEFAULT_TOLERANCES.eigen_residual * norm:
         raise SolverFailure(
             "eigendecomposition residual too large",
             {"residual": residual, "norm": norm},

@@ -11,7 +11,6 @@ import finex.bernstein_lp
 import finex.exchangeable
 import finex.solvers
 from finex.bernstein_lp import _structural_solve, assemble, dump, lower_bound_lp, solve_lp
-from finex.config import DEFAULT_TOLERANCES
 from finex.errors import DomainError, SolverFailure
 from finex.exchangeable import oracle_bound
 from finex.multiindex import compositions, rank
@@ -279,7 +278,7 @@ class TestStructuralBasis:
                 d, 2, {n: float(rng.uniform(-1, 1)) for n in compositions(2, d)}
             )
             cone_lp = assemble(g, int(rng.integers(2, 6)))
-            _, x, y, sparse = _structural_solve(cone_lp, DEFAULT_TOLERANCES)
+            _, x, y, sparse = _structural_solve(cone_lp)
             lp = cone_lp.lp
             dense = certificate_residuals(lp.a @ x - lp.b, lp.objective - y @ lp.a, x, lp.free)
             assert sparse.keys() == dense.keys()
