@@ -45,7 +45,14 @@ from .exchangeable import (
     BoundResult,
     oracle_bound,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
 )
-from .multiindex import CountVector, composition_array, compositions, orbit_sizes, ranks
+from .multiindex import (
+    CountVector,
+    composition_array,
+    compositions,
+    head_ranks,
+    num_compositions,
+    orbit_sizes,
+)
 from .polynomial import (
     PolynomialBlock,
     SimplexPolynomial,
@@ -64,13 +71,25 @@ _PRUNE = DEFAULT_TOLERANCES.coefficient_prune
 
 @dataclass
 class ConeMembershipLP:
-    """Equality system: columns u_n (non-negative) then c (free); b by row."""
+    """Equality system: columns u_n (non-negative) then c (free); b by row.
+
+    Row i and column i both belong to compositions(s, d)[i]; their labels
+    are built only when read.
+    """
 
     d: int
     s: int
-    u_columns: list[CountVector]
-    rows: list[tuple[int, ...]]  # reduced-monomial exponent labelling each row
     b: np.ndarray
+
+    @property
+    def u_columns(self) -> list[CountVector]:
+        """The count vector of each u column, compositions(s, d); a fresh list."""
+        return compositions(self.s, self.d)
+
+    @property
+    def rows(self) -> list[tuple[int, ...]]:
+        """The reduced-monomial exponent labelling each row, (n_1, ..., n_{d-1}); a fresh list."""
+        return [n[: self.d - 1] for n in compositions(self.s, self.d)]
 
     @cached_property
     def lp(self) -> LinearProgram:
@@ -124,22 +143,23 @@ def _structure(d: int, s: int) -> _Structure:
     (sum theta)^s, so q = orbit_sizes(s, d).
     """
     counts = composition_array(s, d)
-    rows, cols, weights = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
+    key = np.min_scalar_type(len(counts) - 1)  # the narrowest row type: numpy radix-sorts 16 bits
+    rows, cols, weights = [np.zeros(0, key)], [np.zeros(0, np.int32)], [np.zeros(0)]
     for k in range(1, s + 1):
         js = composition_array(k, d)[1:]  # every j but the diagonal (k, 0, ..., 0)
         if not len(js):  # d == 1: the u-block is the 1x1 identity
             continue
         w = orbit_sizes(k, d)[1:] * (-1.0) ** (k - js[:, 0])
         cols_k = np.flatnonzero(counts[:, -1] == k)
-        targets = (counts[cols_k, None, :-1] + js[None, :, 1:]).reshape(-1, d - 1)
-        full = np.column_stack([targets, s - targets.sum(axis=1)])
-        rows.append(ranks(full, s).astype(np.int32))
+        heads = (counts[cols_k, None, :-1] + js[None, :, 1:]).reshape(-1, d - 1)
+        rows.append(head_ranks(heads, s).astype(key))
         cols.append(np.repeat(cols_k, len(js)).astype(np.int32))
         weights.append(np.tile(w, len(cols_k)))
     rows = np.concatenate(rows)
     # stable: the entries of one row keep their order, so every sum over a row adds alike
     order = np.argsort(rows, kind="stable")
-    rows, cols, weights = rows[order], np.concatenate(cols)[order], np.concatenate(weights)[order]
+    rows = rows[order].astype(np.int32)
+    cols, weights = np.concatenate(cols)[order], np.concatenate(weights)[order]
     row_start = np.searchsorted(rows, np.arange(len(counts) + 1, dtype=np.int32))
     q = orbit_sizes(s, d)
     if not np.all(q > 0.0):
@@ -153,17 +173,15 @@ def _structure(d: int, s: int) -> _Structure:
 
 
 @lru_cache(maxsize=None)
-def _placement(d: int, k: int, s: int) -> tuple[np.ndarray, tuple, tuple]:
-    """Where the degree-k reduction lands at length s, and the LP's labels.
+def _placement(d: int, k: int, s: int) -> np.ndarray:
+    """Where the degree-k reduction lands at length s: the rows (e, s - |e|).
 
-    Returns the rows (e, s - |e|) of the exponents e in compositions(k, d)
-    order (read-only), the u columns compositions(s, d) and the row labels.
+    One per exponent e (the head of a count vector) in compositions(k, d)
+    order; read-only.
     """
-    heads = composition_array(k, d)[:, :-1]
-    positions = ranks(np.column_stack([heads, s - heads.sum(axis=1)]), s).astype(np.int32)
+    positions = head_ranks(composition_array(k, d)[:, :-1], s).astype(np.int32)
     positions.setflags(write=False)
-    comps = tuple(compositions(s, d))
-    return positions, comps, tuple(n[: d - 1] for n in comps)
+    return positions
 
 
 def _scatter(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
@@ -192,9 +210,8 @@ def _right_hand_sides(block: PolynomialBlock, s: int) -> np.ndarray:
     st = _structure(d, k)
     reduced = x + _scatter(st.rows, st.weights[:, None] * x[st.cols], len(x))
     reduced[np.abs(reduced) < _PRUNE] = 0.0
-    positions, comps, _ = _placement(d, k, s)
-    b = np.zeros((len(comps), block.size))
-    b[positions] = reduced
+    b = np.zeros((num_compositions(s, d), block.size))
+    b[_placement(d, k, s)] = reduced
     return b
 
 
@@ -207,9 +224,7 @@ def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
     C(s+d-1, d-1) rows, in the order of compositions(s, d).  b is g's
     reduction, placed at the rows (e, s - |e|); no dense A.
     """
-    b = _right_hand_sides(PolynomialBlock.of([g]), s)[:, 0]
-    _, comps, rows = _placement(g.d, g.degree, s)
-    return ConeMembershipLP(g.d, s, list(comps), list(rows), b)
+    return ConeMembershipLP(g.d, s, _right_hand_sides(PolynomialBlock.of([g]), s)[:, 0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as for _right_hand_sides
@@ -316,7 +331,9 @@ def lower_bound_lp(g: SimplexPolynomial, s: int) -> BoundResult:
     """
     cone_lp = assemble(g, s)
     value, primal, dual, residuals = _structural_solve(cone_lp)
-    u = {n: float(v) for n, v in zip(cone_lp.u_columns, primal[:-1]) if abs(v) > 0.0}
+    u_values = primal[:-1]
+    kept = np.flatnonzero(np.abs(u_values) > 0.0)
+    u = dict(zip(map(tuple, composition_array(s, g.d)[kept].tolist()), u_values[kept].tolist()))
     certificate = {
         "u": u,
         "c": float(primal[-1]),
@@ -330,24 +347,25 @@ def lower_bound_lp(g: SimplexPolynomial, s: int) -> BoundResult:
         diagnostics={
             "iterations": 1,  # the single pivot, c entering
             "residuals": residuals,
-            "rows": len(cone_lp.rows),
-            "columns": len(cone_lp.u_columns) + 1,
+            "rows": len(u_values),
+            "columns": len(primal),
         },
     )
 
 
 def dump(cone_lp: ConeMembershipLP) -> str:
     """Human-readable listing of the assembled system (debugging aid)."""
+    u_columns, rows = cone_lp.u_columns, cone_lp.rows
     lines = [
         f"cone membership LP  d={cone_lp.d}  s={cone_lp.s}",
-        f"rows={len(cone_lp.rows)}  columns={len(cone_lp.u_columns) + 1}"
+        f"rows={len(rows)}  columns={len(u_columns) + 1}"
         "  (non-negative u columns + free c)",
         "objective: maximize c",
     ]
     a, b = cone_lp.lp.a, cone_lp.lp.b
-    for i, e in enumerate(cone_lp.rows):
+    for i, e in enumerate(rows):
         parts = [
-            f"{a[i, j]:+g}*u{list(cone_lp.u_columns[j])}"
+            f"{a[i, j]:+g}*u{list(u_columns[j])}"
             for j in np.flatnonzero(a[i, :-1])
         ]
         if a[i, -1]:

@@ -357,8 +357,8 @@ def to_json(rho: BosonDensityMatrix) -> str:
         [[float(v.real), float(v.imag)] for v in row] for row in rho.matrix
     ]
     doc = {
-        "d": rho.basis.d,
-        "s": rho.basis.s,
+        "d": int(rho.basis.d),
+        "s": int(rho.basis.s),
         "basis": [list(n) for n in rho.basis.elements],
         "matrix": matrix,
     }

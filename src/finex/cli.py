@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -405,6 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main() call and reused by the later ones."""
+    return build_parser()
+
+
 def _run(args) -> int:
     if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
         raise DomainError(f"--seed must be an integer >= 0, got {args.seed}")
@@ -448,9 +455,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 

@@ -279,10 +279,10 @@ def sample(
 
 def to_json(dist: ExchangeableDistribution) -> str:
     orbits = [
-        {"counts": list(n), "prob": p}
+        {"counts": [int(v) for v in n], "prob": p}
         for n, p in sorted(dist.orbit_probs.items(), reverse=True)
     ]
-    return json.dumps({"d": dist.d, "r": dist.r, "orbits": orbits})
+    return json.dumps({"d": int(dist.d), "r": int(dist.r), "orbits": orbits})
 
 
 def from_json(text: str) -> ExchangeableDistribution:

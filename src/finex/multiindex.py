@@ -12,6 +12,11 @@ vectors of a given degree: lexicographic, descending (so the first
 coordinate decreases first).  For r=2, d=2 that is (2,0), (1,1), (0,2).
 This module owns that order: other modules locate count vectors in it
 with ranks and read per-vector arrays (composition_array, orbit_sizes).
+
+The arrays are the primary tables: composition_array is built by numpy
+block concatenation and cached read-only, and orbit_sizes is computed
+from it.  The tuple lists of compositions derive from the array, so only
+a caller that reads tuples pays for them.
 """
 
 from __future__ import annotations
@@ -56,21 +61,23 @@ def num_compositions(r: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _compositions(r: int, d: int) -> tuple[CountVector, ...]:
+def _composition_array(r: int, d: int) -> np.ndarray:
+    """The rows with leading entry v = r, ..., 0, each block over the cached (r - v, d - 1) rows."""
     if d == 1:
-        return ((r,),)
-    out = []
-    for v in range(r, -1, -1):
-        for tail in _compositions(r - v, d - 1):
-            out.append((v,) + tail)
-    return tuple(out)
+        out = np.full((1, 1), r, dtype=np.int64)
+    else:
+        tails = [_composition_array(r - v, d - 1) for v in range(r, -1, -1)]
+        lengths = [len(tail) for tail in tails]
+        out = np.empty((sum(lengths), d), dtype=np.int64)
+        out[:, 0] = np.repeat(np.arange(r, -1, -1), lengths)
+        np.concatenate(tails, out=out[:, 1:])
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _composition_array(r: int, d: int) -> np.ndarray:
-    out = np.array(_compositions(r, d), dtype=np.int64).reshape(-1, d)
-    out.setflags(write=False)
-    return out
+def _compositions(r: int, d: int) -> tuple[CountVector, ...]:
+    return tuple(map(tuple, _composition_array(r, d).tolist()))
 
 
 def composition_array(r: int, d: int) -> np.ndarray:
@@ -83,7 +90,8 @@ def compositions(r: int, d: int) -> list[CountVector]:
     """All count vectors of degree r over d outcomes, lex-descending.
 
     The list has num_compositions(r, d) elements, no duplicates, and is
-    strictly decreasing under tuple comparison.
+    strictly decreasing under tuple comparison.  It is a fresh list of
+    the cached tuples read from composition_array(r, d).
     """
     num_compositions(r, d)  # validates r and d
     return list(_compositions(r, d))
@@ -101,16 +109,60 @@ def orbit_size(n: CountVector) -> int:
     return size
 
 
+_INT64_FACTORIALS = 20  # 20! < 2^63 < 21!
+# a multinomial whose log is below this (give or take float rounding) is below 2^63
+_INT64_LOG_LIMIT = 62 * math.log(2)
+# C(a, m) with min(m, a - m) >= 34 is at least C(68, 34) > 2^63
+_INT64_BINOMIAL_COLUMNS = 34
+
+
 @lru_cache(maxsize=None)
 def orbit_sizes(r: int, d: int) -> np.ndarray:
     """orbit_size of each count vector in compositions(r, d), correctly rounded to float64.
 
     That is the rounding a float divided by orbit_size(n) applies.  Read-only.
+    Each is computed exactly and rounded once: up to 20 draws as r! over
+    the parts' factorials, all in int64; past that by _long_orbit_sizes.
     """
-    factorials = np.array([math.factorial(k) for k in range(r + 1)], dtype=object)
-    exact = factorials[r] // np.prod(factorials[composition_array(r, d)], axis=1)
-    out = exact.astype(np.float64)
+    counts = composition_array(r, d)
+    if r <= _INT64_FACTORIALS:
+        factorials = np.array([math.factorial(k) for k in range(r + 1)], dtype=np.int64)
+        out = (factorials[r] // np.prod(factorials[counts], axis=1)).astype(np.float64)
+    else:
+        out = _long_orbit_sizes(counts, r)
     out.setflags(write=False)
+    return out
+
+
+def _long_orbit_sizes(counts: np.ndarray, r: int) -> np.ndarray:
+    """The multinomials of the rows of counts (degree r), each rounded once to float64.
+
+    The multinomial of n is the product of the binomials
+    C(n_1 + ... + n_i, n_i), each no larger than it, so one below 2^63 is
+    exact in int64, as are its binomials (built by Pascal's rule from
+    smaller ones).  The rows whose log-multinomial says they may not be
+    below 2^63 are computed with Python integers.
+    """
+    columns = _INT64_BINOMIAL_COLUMNS
+    binomials = np.zeros((r + 1, columns), dtype=np.int64)  # C(a, m) for m < columns
+    binomials[:, 0] = 1
+    for a in range(1, r + 1):
+        # an entry past 2^63 wraps; only the rows recomputed below read it
+        binomials[a, 1:] = binomials[a - 1, 1:] + binomials[a - 1, :-1]
+    log_factorials = np.array([math.lgamma(k + 1) for k in range(r + 1)])
+    exact = np.ones(len(counts), dtype=np.int64)
+    log_size = log_factorials[r] - log_factorials[counts[:, 0]]
+    prefix = counts[:, 0].copy()
+    for i in range(1, counts.shape[1]):
+        prefix += counts[:, i]
+        smaller = np.minimum(counts[:, i], prefix - counts[:, i])  # C(a, m) = C(a, a - m)
+        exact *= binomials[prefix, np.minimum(smaller, columns - 1)]
+        log_size -= log_factorials[counts[:, i]]
+    out = exact.astype(np.float64)
+    wide = np.flatnonzero(log_size > _INT64_LOG_LIMIT)
+    if len(wide):
+        factorials = np.array([math.factorial(k) for k in range(r + 1)], dtype=object)
+        out[wide] = (factorials[r] // np.prod(factorials[counts[wide]], axis=1)).astype(np.float64)
     return out
 
 
@@ -130,12 +182,12 @@ _CACHED_BINOMIALS = 1 << 17  # int64 entries (1 MB): larger tables are built per
 
 @lru_cache(maxsize=None)
 def _binomials(r: int, d: int) -> np.ndarray:
-    """table[a, b] = C(a, b) for b < d and a - b < r, the entries ranks reads.
+    """table[a, b] = C(a, b) for b < d and a - b < r, the entries head_ranks reads.
 
     Each is at most C(r + d - 2, r - 1) <= num_compositions(r, d), so the
     table fits int64 whenever the compositions of degree r can be listed;
     that covers every length the oracle and boson routes enumerate and
-    every cone LP that fits in memory.  The entries ranks never reads are
+    every cone LP that fits in memory.  The entries head_ranks never reads are
     0.  Read-only.
     """
     a = np.arange(r + d - 1)
@@ -149,27 +201,33 @@ def _binomials(r: int, d: int) -> np.ndarray:
     return table
 
 
-def ranks(counts: np.ndarray, r: int) -> np.ndarray:
-    """Position of each row of counts (degree-r count vectors) in compositions(r, d).
+def head_ranks(heads: np.ndarray, r: int) -> np.ndarray:
+    """Position of each degree-r count vector in compositions(r, d), given its first d - 1 entries.
 
-    Lex-descending order puts before n every vector sharing n's first i
-    entries and exceeding n_i at entry i; with R left to place over the
-    remaining slots once n_i is placed, there are C(R - 1 + slots, slots)
-    of them.  The rows are not validated.
+    heads has d - 1 columns; the last entry of each vector is r minus the
+    row's sum and is never read.  Lex-descending order puts before n every
+    vector sharing n's first i entries and exceeding n_i at entry i; with
+    R left to place over the remaining slots once n_i is placed, there are
+    C(R - 1 + slots, slots) of them.  The rows are not validated.
     """
-    d = counts.shape[1]
+    d = heads.shape[1] + 1
     if (r + d - 1) * d <= _CACHED_BINOMIALS:
         table = _binomials(r, d)
     else:
         table = _binomials.__wrapped__(r, d)
-    out = np.zeros(len(counts), dtype=np.int64)
+    out = np.zeros(len(heads), dtype=np.int64)
     top = r + d - 1  # R - 1 + slots before any entry is placed
     for i in range(d - 1):
         # placing n_i takes n_i from R and one slot; C(top, slots) is 0 when
         # top < slots, that is when nothing exceeds n_i
-        top = top - counts[:, i] - 1
+        top = top - heads[:, i] - 1
         out += table[:, d - 1 - i][top]
     return out
+
+
+def ranks(counts: np.ndarray, r: int) -> np.ndarray:
+    """Position of each row of counts (degree-r count vectors) in compositions(r, d)."""
+    return head_ranks(counts[:, :-1], r)
 
 
 def scatter_by_rank(entries: dict[CountVector, float], r: int, d: int) -> np.ndarray:

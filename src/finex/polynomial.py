@@ -326,10 +326,10 @@ def to_diagonal_observable(g: SimplexPolynomial) -> DiagonalObservable:
 
 def to_json(g: SimplexPolynomial) -> str:
     terms = [
-        {"counts": list(n), "coeff": c}
+        {"counts": [int(v) for v in n], "coeff": c}
         for n, c in sorted(g.terms.items(), reverse=True)
     ]
-    return json.dumps({"d": g.d, "terms": terms})
+    return json.dumps({"d": int(g.d), "terms": terms})
 
 
 def from_json(text: str) -> SimplexPolynomial:

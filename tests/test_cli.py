@@ -839,3 +839,41 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
+
+
+class TestParserReuse:
+    """main() builds its parser on the first call and reuses it after."""
+
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def fresh(self, argv):
+        env = dict(os.environ, PYTHONPATH=self.SRC, COLUMNS="80")
+        proc = subprocess.run(
+            [sys.executable, "-m", "finex", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_one_process_prints_what_fresh_processes_print(
+        self, witness_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal's width
+        calls = [
+            ["bound", "--observable", witness_path],  # no --s: a usage error
+            ["verify", "--seed", "0"],
+            ["--help"],
+            ["--help"],
+        ]
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == self.fresh(argv), argv
+        assert main(calls[0]) == 2
+
+    def test_importing_the_cli_builds_no_parser(self):
+        code = "import finex.cli as cli; print(cli._parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=self.SRC), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.stdout == "0\n", proc.stderr

@@ -9,10 +9,17 @@ read; otherwise the answer depends on what ran before.
 import numpy as np
 import pytest
 
+from finex import boson, exchangeable, polynomial
 from finex.bernstein_lp import _right_hand_sides, lp_block
-from finex.boson import boson_block, quantum_bound
+from finex.boson import BosonDensityMatrix, OccupationBasis, boson_block, quantum_bound
 from finex.errors import DomainError
-from finex.exchangeable import marginalize, oracle_block, sample, urn_distribution
+from finex.exchangeable import (
+    ExchangeableDistribution,
+    marginalize,
+    oracle_block,
+    sample,
+    urn_distribution,
+)
 from finex.multiindex import (
     composition_array,
     is_integer,
@@ -127,3 +134,22 @@ def test_integer_lengths_still_work():
     assert marginalize(dist, np.int64(1)).r == 1
     assert len(sample(dist, np.int64(3), 0)) == 3
     assert oracle_block(BLOCK, np.int64(4))[0][0] == oracle_block(BLOCK, 4)[0][0]
+
+
+def test_serializers_write_numpy_integers_as_json_integers():
+    two = np.int64(2)
+    dist = ExchangeableDistribution(2, two, {(np.int64(1), np.int64(1)): 1.0})
+    text = exchangeable.to_json(dist)
+    assert text == '{"d": 2, "r": 2, "orbits": [{"counts": [1, 1], "prob": 1.0}]}'
+    assert exchangeable.from_json(text) == dist
+
+    g = SimplexPolynomial(two, two, {(np.int64(2), np.int32(0)): 1.5, (1, 1): -0.5})
+    text = polynomial.to_json(g)
+    assert '"d": 2' in text
+    assert polynomial.from_json(text) == g
+
+    rho = BosonDensityMatrix(OccupationBasis(two, np.int64(3)), np.eye(4) / 4)
+    back = boson.from_json(boson.to_json(rho))
+    assert (back.basis.d, back.basis.s) == (2, 3)
+    assert back.basis.elements == rho.basis.elements
+    assert np.array_equal(back.matrix, rho.matrix)
