@@ -113,8 +113,9 @@ class _Structure:
     sorted by row.  B^-1 is explicit and has the same entries with the
     weights' absolute values (inverse_weights) plus the identity, so row i
     of either is the slice row_start[i]:row_start[i + 1], diagonal aside.
-    q = B^-1 e_0 is c's column in the u-block basis.  Every array is
-    read-only.
+    q = B^-1 e_0 is c's column in the u-block basis.  rows and cols are
+    intp, the index type np.bincount reads without a copy, so a solve
+    makes no structure-sized copy of them.  Every array is read-only.
     """
 
     rows: np.ndarray
@@ -144,7 +145,7 @@ def _structure(d: int, s: int) -> _Structure:
     """
     counts = composition_array(s, d)
     key = np.min_scalar_type(len(counts) - 1)  # the narrowest row type: numpy radix-sorts 16 bits
-    rows, cols, weights = [np.zeros(0, key)], [np.zeros(0, np.int32)], [np.zeros(0)]
+    rows, cols, weights = [np.zeros(0, key)], [np.zeros(0, np.intp)], [np.zeros(0)]
     for k in range(1, s + 1):
         js = composition_array(k, d)[1:]  # every j but the diagonal (k, 0, ..., 0)
         if not len(js):  # d == 1: the u-block is the 1x1 identity
@@ -153,14 +154,14 @@ def _structure(d: int, s: int) -> _Structure:
         cols_k = np.flatnonzero(counts[:, -1] == k)
         heads = (counts[cols_k, None, :-1] + js[None, :, 1:]).reshape(-1, d - 1)
         rows.append(head_ranks(heads, s).astype(key))
-        cols.append(np.repeat(cols_k, len(js)).astype(np.int32))
+        cols.append(np.repeat(cols_k, len(js)))
         weights.append(np.tile(w, len(cols_k)))
     rows = np.concatenate(rows)
     # stable: the entries of one row keep their order, so every sum over a row adds alike
     order = np.argsort(rows, kind="stable")
-    rows = rows[order].astype(np.int32)
+    rows = rows[order].astype(np.intp)
     cols, weights = np.concatenate(cols)[order], np.concatenate(weights)[order]
-    row_start = np.searchsorted(rows, np.arange(len(counts) + 1, dtype=np.int32))
+    row_start = np.searchsorted(rows, np.arange(len(counts) + 1))
     q = orbit_sizes(s, d)
     if not np.all(q > 0.0):
         raise SolverFailure(

@@ -109,7 +109,6 @@ def orbit_size(n: CountVector) -> int:
     return size
 
 
-_INT64_FACTORIALS = 20  # 20! < 2^63 < 21!
 # a multinomial whose log is below this (give or take float rounding) is below 2^63
 _INT64_LOG_LIMIT = 62 * math.log(2)
 # C(a, m) with min(m, a - m) >= 34 is at least C(68, 34) > 2^63
@@ -121,28 +120,13 @@ def orbit_sizes(r: int, d: int) -> np.ndarray:
     """orbit_size of each count vector in compositions(r, d), correctly rounded to float64.
 
     That is the rounding a float divided by orbit_size(n) applies.  Read-only.
-    Each is computed exactly and rounded once: up to 20 draws as r! over
-    the parts' factorials, all in int64; past that by _long_orbit_sizes.
-    """
-    counts = composition_array(r, d)
-    if r <= _INT64_FACTORIALS:
-        factorials = np.array([math.factorial(k) for k in range(r + 1)], dtype=np.int64)
-        out = (factorials[r] // np.prod(factorials[counts], axis=1)).astype(np.float64)
-    else:
-        out = _long_orbit_sizes(counts, r)
-    out.setflags(write=False)
-    return out
-
-
-def _long_orbit_sizes(counts: np.ndarray, r: int) -> np.ndarray:
-    """The multinomials of the rows of counts (degree r), each rounded once to float64.
-
     The multinomial of n is the product of the binomials
     C(n_1 + ... + n_i, n_i), each no larger than it, so one below 2^63 is
     exact in int64, as are its binomials (built by Pascal's rule from
-    smaller ones).  The rows whose log-multinomial says they may not be
-    below 2^63 are computed with Python integers.
+    smaller ones), and is rounded once.  The rows whose log-multinomial
+    says they may not be below 2^63 are computed with Python integers.
     """
+    counts = composition_array(r, d)
     columns = _INT64_BINOMIAL_COLUMNS
     binomials = np.zeros((r + 1, columns), dtype=np.int64)  # C(a, m) for m < columns
     binomials[:, 0] = 1
@@ -153,7 +137,7 @@ def _long_orbit_sizes(counts: np.ndarray, r: int) -> np.ndarray:
     exact = np.ones(len(counts), dtype=np.int64)
     log_size = log_factorials[r] - log_factorials[counts[:, 0]]
     prefix = counts[:, 0].copy()
-    for i in range(1, counts.shape[1]):
+    for i in range(1, d):
         prefix += counts[:, i]
         smaller = np.minimum(counts[:, i], prefix - counts[:, i])  # C(a, m) = C(a, a - m)
         exact *= binomials[prefix, np.minimum(smaller, columns - 1)]
@@ -163,6 +147,7 @@ def _long_orbit_sizes(counts: np.ndarray, r: int) -> np.ndarray:
     if len(wide):
         factorials = np.array([math.factorial(k) for k in range(r + 1)], dtype=object)
         out[wide] = (factorials[r] // np.prod(factorials[counts[wide]], axis=1)).astype(np.float64)
+    out.setflags(write=False)
     return out
 
 

@@ -153,6 +153,7 @@ class TestAssemblyMatchesReduction:
         u_columns, rows = list(first.u_columns), list(first.rows)
         first.lp.a[:] = 7.0
         first.lp.b[:] = 7.0
+        assert first.u_columns is not first.u_columns and first.rows is not first.rows
         first.u_columns.reverse()
         first.u_columns.append((9, 9, 9))
         first.rows.clear()
