@@ -193,7 +193,9 @@ def _scatter(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
     """
     size = values.shape[1]
     flat = index if size == 1 else (index[:, None] * np.int64(size) + np.arange(size)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=rows * size).reshape(rows, size)
+    sums = np.bincount(flat, weights=values.ravel(), minlength=rows * size)
+    # with no entries (d == 1) np.bincount ignores the weights and returns integers
+    return sums.astype(float, copy=False).reshape(rows, size)
 
 
 # an overflow makes a residual inf or NaN, which the certificate check refuses
@@ -256,12 +258,15 @@ def _solve(d: int, s: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     ratios = p / q[:, None]
     leaving = np.argmin(ratios, axis=0)
     c = ratios[leaving, columns]
-    u = np.maximum(p - c * q[:, None], 0.0)
+    primal = np.empty((m + 1, size))
+    u = primal[:m]
+    np.maximum(p - c * q[:, None], 0.0, out=u)
     u[leaving, columns] = 0.0
-    primal = np.vstack([u, c])
+    primal[m] = c
 
     # the dual of column j is row leaving[j] of B^-1 over q[leaving[j]]
-    starts, lengths = st.row_start[leaving], np.diff(st.row_start)[leaving]
+    starts = st.row_start[leaving]
+    lengths = st.row_start[leaving + 1] - starts
     entries = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
     owner = np.repeat(columns, lengths)
     dual = np.zeros((m, size))
@@ -270,8 +275,10 @@ def _solve(d: int, s: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
     ax = u + _scatter(st.rows, st.weights[:, None] * u[st.cols], m)
     ax[-1] += c  # c's column is the constant-monomial row's unit vector
-    # y A: y itself (the identity, then c's column), plus the off-diagonal entries
-    ya = np.vstack([dual, dual[-1]]) + _scatter(st.cols, st.weights[:, None] * dual[st.rows], m + 1)
+    # y A: the off-diagonal entries, plus y itself (the identity, then c's column)
+    ya = _scatter(st.cols, st.weights[:, None] * dual[st.rows], m + 1)
+    ya[:m] += dual
+    ya[m] += dual[-1]
     reduced = -ya
     reduced[m] += 1.0  # objective - y A: the objective is c
     residuals = certificate_residuals(ax - b, reduced, primal, np.arange(m + 1) == m)

@@ -1,9 +1,10 @@
 """Command-line interface: bounds, curves, verification, sampling, demo.
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage or parse error, 3 numerical solver failure.  All numeric output
-is printed with 12 significant digits.  Face labels are 1-based in every
-user-facing file; internally outcomes are 0-based.
+2 usage or parse error (running out of memory included), 3 numerical
+solver failure.  All numeric output is printed with 12 significant
+digits.  Face labels are 1-based in every user-facing file; internally
+outcomes are 0-based.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import os
 import sys
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -38,6 +40,7 @@ EXIT_SOLVER = 3
 
 DEFAULT_LP_CAP = 8
 ROUTES = ("oracle", "lp", "boson")
+_PRUNE = DEFAULT_TOLERANCES.coefficient_prune
 
 
 def fmt(x: float) -> str:
@@ -87,7 +90,7 @@ def _load_observable(path: str) -> SimplexPolynomial:
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
+        if text and not text.endswith("\n"):  # no text, no line
             sys.stdout.write("\n")
     else:
         try:
@@ -175,12 +178,23 @@ def _block_values(method: str, block: PolynomialBlock, s: int) -> np.ndarray:
 
 
 def _seeded_quadratics(rng) -> list[SimplexPolynomial]:
-    """The agreement check's 50 observables: full quadratics over d = 2 or 3 faces."""
+    """The agreement check's 50 observables: full quadratics over d = 2 or 3 faces.
+
+    Each draws d, then its coefficients in compositions(2, d) order as one
+    vector: the same stream, and the same values, as one draw per term.
+    The terms are generated valid, so they are only pruned, not re-checked.
+    """
+    shapes = {d: compositions(2, d) for d in (2, 3)}
     out = []
     for _ in range(50):
         d = int(rng.integers(2, 4))
-        terms = {n: float(rng.uniform(-1, 1)) for n in compositions(2, d)}
-        out.append(SimplexPolynomial(d, 2, terms))
+        vector = rng.uniform(-1, 1, len(shapes[d]))
+        values = vector.tolist()
+        kept = [abs(c) >= _PRUNE for c in values]
+        if not all(kept):
+            vector[~np.array(kept)] = 0.0
+        terms = dict(zip(compress(shapes[d], kept), compress(values, kept)))
+        out.append(SimplexPolynomial._checked(d, 2, terms, vector))
     return out
 
 
@@ -475,6 +489,11 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except (DomainError, FinexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # a size past what the machine holds is an input error, not a failed check
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

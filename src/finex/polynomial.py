@@ -135,18 +135,23 @@ class PolynomialBlock:
         if not polynomials:
             raise DomainError("a block needs at least one observable")
         d, degree = polynomials[0].d, polynomials[0].degree
-        position: dict[CountVector, int] = {}
         for g in polynomials:
             if (g.d, g.degree) != (d, degree):
                 raise DomainError(
                     f"a block holds one shape: d={g.d}, degree {g.degree} "
                     f"after d={d}, degree {degree}"
                 )
-            for n in g.terms:
-                position.setdefault(n, len(position))
-        coefficients = np.zeros((len(position), len(polynomials)))
-        for j, g in enumerate(polynomials):
-            coefficients[[position[n] for n in g.terms], j] = list(g.terms.values())
+        # every (term, column) pair in one put, at its row-major offset
+        # row * size + column; a column's terms are distinct keys
+        size = len(polynomials)
+        position: dict[CountVector, int] = {}
+        offsets = [
+            position.setdefault(n, len(position)) * size + j
+            for j, g in enumerate(polynomials)
+            for n in g.terms
+        ]
+        coefficients = np.zeros((len(position), size))
+        np.put(coefficients, offsets, [c for g in polynomials for c in g.terms.values()])
         coefficients.setflags(write=False)
         return cls(d, degree, tuple(position), coefficients)
 

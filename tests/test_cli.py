@@ -678,6 +678,15 @@ class TestSample:
             main(["sample", "--urn", "2,1", "--n", "50", "--seed", "9", "--out", str(path)])
         assert a.read_text() == b.read_text()
 
+    def test_zero_draws_print_nothing(self, tmp_path, capsys):
+        # no draws, no lines: stdout stays empty, as --out writes an empty file
+        assert main(["sample", "--urn", "2,1", "--n", "0"]) == 0
+        assert capsys.readouterr() == ("", "")
+        path = tmp_path / "none.csv"
+        assert main(["sample", "--urn", "2,1", "--n", "0", "--out", str(path)]) == 0
+        assert path.read_text() == ""
+        assert capsys.readouterr() == ("", "")
+
     def test_requires_a_source(self):
         assert main(["sample", "--n", "10"]) == 2
 
@@ -821,6 +830,37 @@ class TestOutputFailures:
         assert proc.returncode == 2, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+class TestOutOfMemory:
+    """A size past what the machine holds exits 2 with one error line, not a traceback."""
+
+    def test_address_space_limit_exits_2(self, witness_path):
+        import resource
+
+        limit = 1 << 30  # 1 GiB of address space: far below what d=6, s=120 needs
+        proc = subprocess.run(
+            [sys.executable, "-m", "finex", "bound", "--observable", witness_path,
+             "--s", "120", "--method", "lp"],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                     OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), proc.stderr
+
+    def test_a_bare_memory_error_exits_2(self, witness_path, capsys, monkeypatch):
+        import finex.cli
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(finex.cli, "oracle_bound", exhausted)
+        assert main(["bound", "--observable", witness_path, "--s", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 class TestUsage:
