@@ -20,17 +20,16 @@ optimum; the resulting primal and dual are validated against the
 assembled system, so optimality is proved by the certificate, not
 assumed from the structure.
 
-Nothing in A depends on the observable, only on (d, s).  `_structure`
-builds it once per shape and caches it: the u-block's off-diagonal
-entries as read-only (row, column, weight) arrays sorted by row (O(nnz),
-never a dense matrix), the inverse's weights on the same entries, and
-q, c's column in the u-block basis.  b is g's own reduction, not its
-lift's ((sum theta)^(s-k) reduces to 1), and the certificate is evaluated
-from the same cached entries, so the solve writes no dense A;
-ConeMembershipLP.lp writes one on first read, for dump and the tests.
-Since A is shared, lp_block solves a block of observables of one shape
-together, one column of b each, and validates each column's certificate
-on its own; lower_bound_lp is a block of one."""
+Nothing in A depends on the observable, and no entry of it is stored.
+The u-block B substitutes theta_d - (theta_1 + ... + theta_{d-1}) for
+theta_d in a degree-s form, and B^-1 theta_d + (theta_1 + ... +
+theta_{d-1}), so B, B^-1 and their transposes are Horner sweeps (Farouki &
+Rajan 1988) over O(N d) index maps cached per (d, s).  b is g's own
+reduction, not its lift's ((sum theta)^(s-k) reduces to 1), a sweep at
+(d, g.degree).  ConeMembershipLP.lp writes a dense A on first read, for
+dump and the tests.  Since A is shared, lp_block solves a block of
+observables of one shape together, one column of b each, and validates
+each column's certificate on its own; lower_bound_lp is a block of one."""
 
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .errors import SolverFailure
+from .errors import DomainError, SolverFailure
 from .exchangeable import (
     BoundResult,
     oracle_bound,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
@@ -94,10 +93,10 @@ class ConeMembershipLP:
     @cached_property
     def lp(self) -> LinearProgram:
         """The system as a dense LinearProgram, written on first read; shares b."""
-        st = _structure(self.d, self.s)
-        m = len(self.b)
-        a = np.eye(m, m + 1)
-        a[st.rows, st.cols] = st.weights
+        maps, m = _sweeps(self.d, self.s), len(self.b)
+        x = np.zeros((m + 1, m + 1))
+        x[maps.position[:m], np.arange(m)] = 1.0
+        a = _sweep(maps, x, np.subtract)[maps.position[:m]]  # B e_j: exact integers
         # the constant c contributes only to the constant-monomial row
         a[m - 1, m] = 1.0
         is_c = np.arange(m + 1) == m  # c is the one free column and the objective
@@ -105,72 +104,71 @@ class ConeMembershipLP:
 
 
 @dataclass(frozen=True)
-class _Structure:
-    """Everything in the cone LP that depends on (d, s) alone.
+class _Sweeps:
+    """The (d, s) index maps of the u-block's Horner sweeps; read-only.
 
-    Row i and column i both belong to compositions(s, d)[i]; the u-block B
-    is the identity plus the off-diagonal entries (rows, cols, weights),
-    sorted by row.  B^-1 is explicit and has the same entries with the
-    weights' absolute values (inverse_weights) plus the identity, so row i
-    of either is the slice row_start[i]:row_start[i + 1], diagonal aside.
-    q = B^-1 e_0 is c's column in the u-block basis.  rows and cols are
-    intp, the index type np.bincount reads without a copy, so a solve
-    makes no structure-sized copy of them.  Every array is read-only.
+    Level order lists compositions(s, d) by n_d descending, stably, so the
+    count vectors with n_d >= k are the first bounds[k] positions, k <= s.
+    order[t] is the natural index (in compositions(s, d)) at level position
+    t and position[i] the level position of natural index i, with
+    position[N] = N appended for c's row of a primal.  up[i, t] is the level
+    position of n - e_i + e_d for the n at t, down[i, t] that of
+    n + e_i - e_d; either is N, a zero sentinel row, off the simplex.  q is
+    orbit_sizes(s, d) in level order.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
-    inverse_weights: np.ndarray
-    row_start: np.ndarray
+    order: np.ndarray
+    position: np.ndarray
+    bounds: tuple[int, ...]
+    up: np.ndarray
+    down: np.ndarray
     q: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _structure(d: int, s: int) -> _Structure:
-    """Build the (d, s) structure of the cone LP; cached, as it never changes.
-
-    Substituting theta_d = 1 - theta_1 - ... - theta_{d-1} into theta^n
-    with k = n_d expands (1 - theta_1 - ... - theta_{d-1})^k: for every
-    j in compositions(k, d) the reduced monomial head(n) + j[1:] gets
-    orbit_size(j) * (-1)^(k - j_0).  j = (k, 0, ..., 0) is the diagonal 1.
-    The weights are exact integers, so A is the same bitwise as expanding
-    each column monomial by monomial.
-
-    Column e of B^-1 is theta^(e,0) (sum theta)^(s-|e|): orbit_size(j') at
-    row (e,0) + j' for j' in compositions(s - |e|, d).  With j' = (j[1:], j_0)
-    that is B's entry at the same row and column, unsigned, since a
-    multinomial does not depend on the order of its parts.  Column 0 is
-    (sum theta)^s, so q = orbit_sizes(s, d).
-    """
+def _sweeps(d: int, s: int) -> _Sweeps:
+    """Build the (d, s) sweep maps of the cone LP; cached, as they never change."""
     counts = composition_array(s, d)
-    key = np.min_scalar_type(len(counts) - 1)  # the narrowest row type: numpy radix-sorts 16 bits
-    rows, cols, weights = [np.zeros(0, key)], [np.zeros(0, np.intp)], [np.zeros(0)]
-    for k in range(1, s + 1):
-        js = composition_array(k, d)[1:]  # every j but the diagonal (k, 0, ..., 0)
-        if not len(js):  # d == 1: the u-block is the 1x1 identity
-            continue
-        w = orbit_sizes(k, d)[1:] * (-1.0) ** (k - js[:, 0])
-        cols_k = np.flatnonzero(counts[:, -1] == k)
-        heads = (counts[cols_k, None, :-1] + js[None, :, 1:]).reshape(-1, d - 1)
-        rows.append(head_ranks(heads, s).astype(key))
-        cols.append(np.repeat(cols_k, len(js)))
-        weights.append(np.tile(w, len(cols_k)))
-    rows = np.concatenate(rows)
-    # stable: the entries of one row keep their order, so every sum over a row adds alike
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order].astype(np.intp)
-    cols, weights = np.concatenate(cols)[order], np.concatenate(weights)[order]
-    row_start = np.searchsorted(rows, np.arange(len(counts) + 1))
     q = orbit_sizes(s, d)
     if not np.all(q > 0.0):
         raise SolverFailure(
             "cone LP normalization column has a non-positive entry", {"min_q": float(q.min())}
         )
-    inverse_weights = np.abs(weights)
-    for x in (rows, cols, weights, inverse_weights, row_start):
+    n = len(counts)
+    order = np.argsort(-counts[:, -1], kind="stable")
+    position = np.empty(n + 1, dtype=np.intp)
+    position[order] = np.arange(n)
+    position[n] = n
+    heads = counts[order, :-1]
+    levels = np.bincount(counts[:, -1], minlength=s + 1)
+    bounds = tuple(np.cumsum(levels[::-1])[::-1].tolist())
+    up = np.full((d - 1, n), n, dtype=np.intp)
+    down = up.copy()
+    moved, faces = np.nonzero(heads)  # a ball on face i < d to move to face d
+    shifted = heads[moved]
+    shifted[np.arange(len(moved)), faces] -= 1
+    up[faces, moved] = targets = position[head_ranks(shifted, s)]
+    down[faces, targets] = moved  # the move back, for every n with n_d >= 1
+    q = q[order]
+    for x in (order, position, up, down, q):
         x.setflags(write=False)
-    return _Structure(rows, cols, weights, inverse_weights, row_start, q)
+    return _Sweeps(order, position, bounds, up, down, q)
+
+
+def _sweep(maps: _Sweeps, x: np.ndarray, combine, transpose: bool = False) -> np.ndarray:
+    """x <- B x (combine np.subtract) or B^-1 x (np.add), or B^T x, B^-T x; in place.
+
+    x is in level order, with the zero sentinel row N last.  By Horner's
+    rule in theta_d, B and B^-1 are s steps, k = s - 1 down to 0: each n
+    with n_d >= k gains (or loses) its neighbours n - e_i + e_d, all read
+    before any is written.  An n at level k first changes at step k, so x
+    starts as the whole input.  The transposes run the steps in reverse,
+    and step k gathers into each n with n_d >= k + 1 its n + e_i - e_d.
+    """
+    neighbours = maps.down if transpose else maps.up
+    for m in maps.bounds[1:] if transpose else maps.bounds[-2::-1]:
+        combine(x[:m], x.take(neighbours[:, :m], axis=0).sum(axis=0), out=x[:m])
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -185,36 +183,24 @@ def _placement(d: int, k: int, s: int) -> np.ndarray:
     return positions
 
 
-def _scatter(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
-    """Sum values (entries x B) into a (rows x B) matrix, values[e, j] at row index[e].
-
-    One np.bincount over index * B + j: it adds in entry order, so each
-    column sums exactly as a bincount of that column alone does.
-    """
-    size = values.shape[1]
-    flat = index if size == 1 else (index[:, None] * np.int64(size) + np.arange(size)).ravel()
-    sums = np.bincount(flat, weights=values.ravel(), minlength=rows * size)
-    # with no entries (d == 1) np.bincount ignores the weights and returns integers
-    return sums.astype(float, copy=False).reshape(rows, size)
-
-
 # an overflow makes a residual inf or NaN, which the certificate check refuses
 @np.errstate(over="ignore", invalid="ignore")
 def _right_hand_sides(block: PolynomialBlock, s: int) -> np.ndarray:
     """b for every column of the block at length s, one column each.
 
-    Each column's b is its reduction (the cached degree-k structure on its
+    Each column's b is its reduction (the degree-k sweep for B on its
     coefficients, k = block.degree), pruned and placed at the rows
     (e, s - |e|).
     """
     block.check_length(s)
     d, k = block.d, block.degree
-    x = block.coefficient_matrix
-    st = _structure(d, k)
-    reduced = x + _scatter(st.rows, st.weights[:, None] * x[st.cols], len(x))
+    maps, x = _sweeps(d, k), block.coefficient_matrix
+    reduced = np.zeros((len(x) + 1, block.size))
+    np.take(x, maps.order, axis=0, out=reduced[:-1])
+    _sweep(maps, reduced, np.subtract)
     reduced[np.abs(reduced) < _PRUNE] = 0.0
     b = np.zeros((num_compositions(s, d), block.size))
-    b[_placement(d, k, s)] = reduced
+    b[_placement(d, k, s)] = reduced.take(maps.position[:-1], axis=0)
     return b
 
 
@@ -231,62 +217,72 @@ def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as for _right_hand_sides
-def _solve(d: int, s: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+def _solve(d: int, s: int, b: np.ndarray) -> tuple[np.ndarray, ...]:
     """Optimal primal/dual pair of each column of b from the u-block basis B and one pivot.
 
-    B^-1 is cached with the structure, so no system is solved.  With B
-    basic, u = p - c q for p = B^-1 b, one scatter of the inverse's
-    entries, and q = B^-1 e_0 (e_0 is c's column), the multinomial
-    coefficients of (sum theta)^s, all positive.  Entering c, the ratio
-    test makes the column with the smallest p_j / q_j leave.  The dual
-    B^T y = e_j / q_j is row j of B^-1 over q_j; it gives every u column a
-    reduced cost <= 0 and c exactly 0, so the pivot is optimal.  Each
-    column's pair is validated like any other certificate, from B's own
-    entries; A x and y A are summed before b and the objective are
-    subtracted (subtracting b first misses the 1e-8 primal contract on
-    coefficients from 1e-6 to 1e12).  The first column outside
-    DEFAULT_TOLERANCES raises SolverFailure with its residuals.
-    Returns (optimal values, primals, duals, residuals), one column (one
-    entry of each residual array) per column of b.
+    Every product with B, B^-1 or a transpose is a sweep, in level order:
+    b is permuted in and the primal and dual out once.  With B basic,
+    u = p - c q for p = B^-1 b and q = B^-1 e_0 (e_0 is c's column), the
+    multinomial coefficients of (sum theta)^s, all positive.  Entering c,
+    the ratio test makes the column with the smallest p_j / q_j leave, the
+    first in compositions(s, d) order on a tie.  The dual B^T y = e_j / q_j
+    is row j of B^-1 over q_j; it gives every u column a reduced cost <= 0
+    and c exactly 0, so the pivot is optimal.  Each column's pair is
+    validated like any other certificate; A x and y A are summed before b
+    and the objective are subtracted (subtracting b first misses the 1e-8
+    primal contract on coefficients from 1e-6 to 1e12).  The first column
+    outside DEFAULT_TOLERANCES raises DomainError if a residual overflowed,
+    else SolverFailure with its residuals.  Returns (optimal values,
+    primals, duals, residuals, leaving), one column (one entry of each
+    residual array and of leaving, a natural index) per column of b.
     """
-    st = _structure(d, s)
-    q = st.q
+    maps = _sweeps(d, s)
+    q = maps.q[:, None]
     m, size = b.shape
     columns = np.arange(size)
-    p = b + _scatter(st.rows, st.inverse_weights[:, None] * b[st.cols], m)
+    levelled = np.zeros((m + 1, size))  # b in level order, then the zero sentinel row
+    np.take(b, maps.order, axis=0, out=levelled[:m])
+    p = _sweep(maps, levelled.copy(), np.add)[:m]
 
-    ratios = p / q[:, None]
-    leaving = np.argmin(ratios, axis=0)
+    ratios = p / q
+    # the ratio test in compositions order, where the first minimum wins a tie
+    first = np.argmin(ratios.take(maps.position[:m], axis=0), axis=0)
+    leaving = maps.position[first]
     c = ratios[leaving, columns]
     primal = np.empty((m + 1, size))
-    u = primal[:m]
-    np.maximum(p - c * q[:, None], 0.0, out=u)
-    u[leaving, columns] = 0.0
+    np.maximum(p - c * q, 0.0, out=primal[:m])
+    primal[leaving, columns] = 0.0
     primal[m] = c
 
     # the dual of column j is row leaving[j] of B^-1 over q[leaving[j]]
-    starts = st.row_start[leaving]
-    lengths = st.row_start[leaving + 1] - starts
-    entries = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-    owner = np.repeat(columns, lengths)
     dual = np.zeros((m, size))
-    dual[st.cols[entries], owner] = st.inverse_weights[entries] / q[leaving][owner]
-    dual[leaving, columns] = 1.0 / q[leaving]
+    dual[leaving, columns] = 1.0
+    _sweep(maps, dual, np.add, transpose=True)
+    dual /= q[leaving, 0]
 
-    ax = u + _scatter(st.rows, st.weights[:, None] * u[st.cols], m)
-    ax[-1] += c  # c's column is the constant-monomial row's unit vector
-    # y A: the off-diagonal entries, plus y itself (the identity, then c's column)
-    ya = _scatter(st.cols, st.weights[:, None] * dual[st.rows], m + 1)
-    ya[:m] += dual
-    ya[m] += dual[-1]
+    ax = primal.copy()
+    ax[m] = 0.0
+    _sweep(maps, ax, np.subtract)
+    ax[0] += c  # c's column is the constant-monomial row's unit vector, first in level order
+    # y A: B^T y, then y's constant-monomial entry for c's column
+    ya = np.empty((m + 1, size))
+    ya[:m] = dual
+    _sweep(maps, ya, np.subtract, transpose=True)
+    ya[m] = dual[0]
     reduced = -ya
     reduced[m] += 1.0  # objective - y A: the objective is c
-    residuals = certificate_residuals(ax - b, reduced, primal, np.arange(m + 1) == m)
+    is_c = np.arange(m + 1) == m
+    residuals = certificate_residuals(ax[:m] - levelled[:m], reduced, primal, is_c)
     failed = np.flatnonzero(~within_tolerances(residuals))
     if len(failed):
         column = _column(residuals, failed[0])
+        if not np.isfinite(list(column.values())).all():
+            raise DomainError(
+                f"the cone LP at length s={s} overflows: its certificate exceeds the float range"
+            )
         raise SolverFailure(f"cone LP validation failed: residuals {column}", column)
-    return c, primal, dual, residuals
+    primal, dual = primal.take(maps.position, axis=0), dual.take(maps.position[:m], axis=0)
+    return c, primal, dual, residuals, first
 
 
 def _column(residuals: dict, j: int) -> dict:
@@ -294,25 +290,26 @@ def _column(residuals: dict, j: int) -> dict:
     return {key: float(value[j]) for key, value in residuals.items()}
 
 
-def _structural_solve(cone_lp: ConeMembershipLP) -> tuple[float, np.ndarray, np.ndarray, dict]:
-    """_solve for an assembled system, one column; returns (value, primal, dual, residuals)."""
-    c, primal, dual, residuals = _solve(cone_lp.d, cone_lp.s, cone_lp.b[:, None])
-    return float(c[0]), primal[:, 0], dual[:, 0], _column(residuals, 0)
+def _structural_solve(cone_lp: ConeMembershipLP) -> tuple[float, np.ndarray, np.ndarray, dict, int]:
+    """_solve for an assembled system, one column; (value, primal, dual, residuals, leaving)."""
+    c, primal, dual, residuals, leaving = _solve(cone_lp.d, cone_lp.s, cone_lp.b[:, None])
+    return float(c[0]), primal[:, 0], dual[:, 0], _column(residuals, 0), int(leaving[0])
 
 
 def solve_lp(cone_lp: ConeMembershipLP) -> tuple[float, np.ndarray, np.ndarray]:
     """Solve an assembled system; returns (optimal value, primal, dual).
 
     The solve starts from the structural basis (the u-block, whose inverse
-    is cached with it) and needs a single pivot, c entering; the result's
-    primal, dual and complementary-slackness residuals against the cached
-    sparse A and b must be within DEFAULT_TOLERANCES, and SolverFailure is
-    raised otherwise.
+    is a Horner sweep, like the block itself) and needs a single pivot, c
+    entering; the result's primal, dual and complementary-slackness
+    residuals against A (applied by the sweeps) and b must be within
+    DEFAULT_TOLERANCES.  Otherwise it raises DomainError if a residual
+    overflowed and SolverFailure if not.
     The dual has one entry per monomial row; paired with the reduction of
     any degree-s monomial it prices that monomial's expectation, which is
     how the optimal dual encodes the minimizing exchangeable distribution.
     """
-    value, primal, dual, _ = _structural_solve(cone_lp)
+    value, primal, dual, _, _ = _structural_solve(cone_lp)
     return value, primal, dual
 
 
@@ -325,7 +322,7 @@ def lp_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray, np
     to the commands that compute more than one.  Returns (optimal values,
     primals, duals, residuals), one column each.
     """
-    return _solve(block.d, s, _right_hand_sides(block, s))
+    return _solve(block.d, s, _right_hand_sides(block, s))[:4]
 
 
 def lower_bound_lp(g: SimplexPolynomial, s: int) -> BoundResult:
@@ -333,15 +330,17 @@ def lower_bound_lp(g: SimplexPolynomial, s: int) -> BoundResult:
 
     g is a block of one: assemble writes its b as lp_block does, and the
     solve is _solve on that one column.  The solution carries validated
-    residuals (see solve_lp).  It neither lifts g nor consults another
-    route: comparing the routes is left to the commands that compute more
-    than one.
+    residuals (see solve_lp).  Its argmin is the leaving column's count
+    vector: p_j / q_j there is the urn's expectation, the smallest.  It
+    neither lifts g nor consults another route: comparing the routes is
+    left to the commands that compute more than one.
     """
     cone_lp = assemble(g, s)
-    value, primal, dual, residuals = _structural_solve(cone_lp)
+    value, primal, dual, residuals, leaving = _structural_solve(cone_lp)
+    counts = composition_array(s, g.d)
     u_values = primal[:-1]
     kept = np.flatnonzero(np.abs(u_values) > 0.0)
-    u = dict(zip(map(tuple, composition_array(s, g.d)[kept].tolist()), u_values[kept].tolist()))
+    u = dict(zip(map(tuple, counts[kept].tolist()), u_values[kept].tolist()))
     certificate = {
         "u": u,
         "c": float(primal[-1]),
@@ -350,7 +349,7 @@ def lower_bound_lp(g: SimplexPolynomial, s: int) -> BoundResult:
     return BoundResult(
         value=value,
         method="lp",
-        argmin=None,
+        argmin=tuple(counts[leaving].tolist()),
         certificate=certificate,
         diagnostics={
             "iterations": 1,  # the single pivot, c entering

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +280,7 @@ class TestStructuralBasis:
                 d, 2, {n: float(rng.uniform(-1, 1)) for n in compositions(2, d)}
             )
             cone_lp = assemble(g, int(rng.integers(2, 6)))
-            _, x, y, sparse = _structural_solve(cone_lp)
+            _, x, y, sparse, _ = _structural_solve(cone_lp)
             lp = cone_lp.lp
             dense = certificate_residuals(lp.a @ x - lp.b, lp.objective - y @ lp.a, x, lp.free)
             assert sparse.keys() == dense.keys()
@@ -468,3 +469,58 @@ class TestCertificates:
         assert "maximize c" in text
         row_lines = [line for line in text.splitlines() if line.startswith("[")]
         assert len(row_lines) == len(cone_lp.rows)
+
+
+class TestArgmin:
+    """The LP's argmin is its leaving column's count vector."""
+
+    CASES = [
+        (two_face_witness(), 4),
+        (two_face_witness(3), 9),
+        (sum_of_squares(4), 5),
+        (SimplexPolynomial(2, 1, {(1, 0): 1.0}), 3),
+        (SimplexPolynomial(3, 2, {(2, 0, 0): 0.3, (1, 1, 0): -1.2, (0, 0, 2): 0.7}), 6),
+        (constant(2.0, 1), 3),
+    ]
+
+    @pytest.mark.parametrize("g, s", CASES)
+    def test_the_argmin_urn_attains_the_lp_value(self, g, s):
+        result = lower_bound_lp(g, s)
+        assert sum(result.argmin) == s and len(result.argmin) == g.d
+        assert all(type(v) is int for v in result.argmin)
+        urn = finex.exchangeable.urn_distribution(result.argmin)
+        drawn = finex.exchangeable.marginalize(urn, g.degree)  # the first degree-many draws
+        assert finex.exchangeable.expectation(drawn, g) == pytest.approx(result.value, abs=1e-9)
+        assert result.argmin == oracle_bound(g, s).argmin
+
+    @pytest.mark.parametrize("d, s", [(2, 4), (3, 5), (4, 3)])
+    def test_ties_break_at_the_first_composition(self, d, s):
+        # every urn of a constant ties, and theta_1 theta_2 is 0 at every urn
+        # with n_1 = 0 or n_2 = 0, (0, ..., 0, s) first in the sweeps' level
+        # order among them; both pick (s, 0, ..., 0), first in compositions
+        first = compositions(s, d)[0]
+        assert lower_bound_lp(constant(1.5, d), s).argmin == first
+        cross = SimplexPolynomial(d, 2, {(1, 1) + (0,) * (d - 2): 1.0})
+        assert lower_bound_lp(cross, s).argmin == first
+        # adding theta_1^2 (0 at an urn with n_1 <= 1: two draws without
+        # replacement) lifts (s, 0, ..., 0) out of the tie; the next zero urn
+        # in compositions order is picked
+        shifted = SimplexPolynomial(d, 2, {**cross.terms, (2,) + (0,) * (d - 1): 1.0})
+        result = lower_bound_lp(shifted, s)
+        assert result.value == 0.0
+        assert result.argmin == next(n for n in compositions(s, d) if n[0] <= 1 and not n[0] * n[1])
+
+
+def test_the_lp_frontier_needs_no_structure_sized_memory():
+    # d=6 s=14 has 11,628 rows and a u-block of about 2M off-diagonal
+    # entries, which a cache of them took 107 MB to build; the sweeps' maps
+    # are O(N d).  The solve still misses the absolute primal contract there.
+    finex.bernstein_lp._sweeps.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverFailure, match="cone LP validation failed"):
+            lower_bound_lp(two_face_witness(6), 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

@@ -123,17 +123,18 @@ def test_block_of_one_shape():
 # theta_1 theta_2: the cone LP solves it with zero residuals through s=24
 CROSS = SimplexPolynomial(3, 2, {(1, 1, 0): 1.0})
 
-# today's LP residuals on the two frontier shapes of the benchmark's lp_cone
-# workload; both solve, and a residual that grew past 1e-8 would exit 3
+# the LP residuals of the Horner sweeps on the two frontier shapes of the
+# benchmark's lp_cone workload; both solve, and a residual that grew past
+# 1e-8 would exit 3
 FRONTIER = [
     (
         two_face_witness(3),
         16,
         "-0x1.1111111111111p-8",
         {
-            "primal": "0x1.5c00000000000p-29",
-            "dual": "-0x0.0p+0",
-            "complementary_slackness": "0x0.0p+0",
+            "primal": "0x1.c800000000000p-32",
+            "dual": "0x1.5a00000000000p-52",
+            "complementary_slackness": "0x1.7111111111111p-60",
         },
     ),
     (
@@ -141,9 +142,9 @@ FRONTIER = [
         13,
         "0x1.20d20d20d20d2p-2",
         {
-            "primal": "0x1.0000000000000p-34",
-            "dual": "0x1.0000000000000p-48",
-            "complementary_slackness": "0x1.37aaaaaaaaaabp-45",
+            "primal": "0x1.cc10000000000p-34",
+            "dual": "0x1.4e40000000000p-47",
+            "complementary_slackness": "0x1.301aaaaaaaaabp-47",
         },
     ),
 ]
@@ -175,6 +176,23 @@ def quadratics(d, count, seed):
 LIFT_OVERFLOW = SimplexPolynomial(3, 2, {(1, 1, 0): 1e308})
 # the cone LP's certificate overflows at s=2, where the oracle still answers
 LP_OVERFLOW = SimplexPolynomial(2, 2, {(2, 0): 1e308, (0, 2): 1e308})
+# -1e308 theta_1: b and p are finite at s=2, but u = p - c q is not
+LP_PRIMAL_OVERFLOW = SimplexPolynomial(2, 1, {(1, 0): -1e308})
+
+
+def large_quadratic(seed):
+    """A d=2 or 3 quadratic with coefficients N(0, 1) * 10^U{6..12}."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 4))
+    comps = compositions(2, d)
+    return SimplexPolynomial(
+        d, 2, {n: float(rng.normal() * 10.0 ** rng.integers(6, 13)) for n in comps}
+    )
+
+
+# finite, but its certificate misses the absolute 1e-8 primal contract at s=2
+# (a residual of 1.9e-6); the oracle and boson routes answer
+LP_UNCERTIFIED = large_quadratic(0)
 # an expectation past the float range on the boson diagonal's minimum at s=3
 BOSON_OVERFLOW = SimplexPolynomial(3, 2, {(2, 0, 0): 1e308, (1, 1, 0): -1e308})
 
@@ -222,10 +240,28 @@ class TestOneBadColumn:
             same_error(
                 lambda: lp_block(block, 24), lambda: lower_bound_lp(first, 24), SolverFailure
             )
+        # an uncertified column and an overflowing one: whichever comes first is named
+        overflow = SimplexPolynomial(3, 2, {(2, 0, 0): 1e308, (0, 0, 2): 1e308})
+        for first, second, kind in (
+            (LP_UNCERTIFIED, overflow, SolverFailure),
+            (overflow, LP_UNCERTIFIED, DomainError),
+        ):
+            block = PolynomialBlock.of([*quadratics(3, 2, 6), first, second])
+            same_error(lambda: lp_block(block, 2), lambda: lower_bound_lp(first, 2), kind)
         block = PolynomialBlock.of([*quadratics(2, 2, 5), LP_OVERFLOW, sum_of_squares(2)])
-        same_error(
-            lambda: lp_block(block, 2), lambda: lower_bound_lp(LP_OVERFLOW, 2), SolverFailure
+        error, _ = same_error(
+            lambda: lp_block(block, 2), lambda: lower_bound_lp(LP_OVERFLOW, 2), DomainError
         )
+        assert str(error) == (
+            "the cone LP at length s=2 overflows: its certificate exceeds the float range"
+        )
+
+    @pytest.mark.parametrize("g", [LP_OVERFLOW, LP_PRIMAL_OVERFLOW], ids=["b", "primal"])
+    def test_lp_overflow_is_a_domain_error_naming_the_length(self, g):
+        for s in (2, 3):
+            with pytest.raises(DomainError, match=f"cone LP at length s={s} overflows"):
+                lower_bound_lp(g, s)
+        assert np.isfinite(oracle_bound(g, 2).value)
 
 
 class TestVerifyWithABadObservable:
@@ -264,12 +300,21 @@ class TestVerifyWithABadObservable:
         assert err == f"error: {single.value}\n"
 
     def test_lp_validation_failure_exits_3(self, bad_observable, capsys):
-        bad_observable(LP_OVERFLOW)
+        bad_observable(LP_UNCERTIFIED)
         code, err = self.run_verify(capsys)
         with pytest.raises(SolverFailure) as single:
-            lower_bound_lp(LP_OVERFLOW, 2)
+            lower_bound_lp(LP_UNCERTIFIED, 2)
         assert code == 3
         assert err == f"solver failure: {single.value}\n"
+        assert single.value.diagnostics["primal"] > 1e-8
+
+    def test_lp_overflow_exits_2(self, bad_observable, capsys):
+        bad_observable(LP_OVERFLOW)
+        code, err = self.run_verify(capsys)
+        with pytest.raises(DomainError) as single:
+            lower_bound_lp(LP_OVERFLOW, 2)
+        assert code == 2
+        assert err == f"error: {single.value}\n"
 
 
 def test_the_agreement_check_makes_eight_block_calls_per_route(monkeypatch):

@@ -508,7 +508,8 @@ class TestLiftMutant:
         argv = ["bound", "--observable", psd_path, "--s", "7", "--method", "lp"]
         assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["bounds"] == [{"method": "lp", "value": 0.871924119567, "argmin": None}]
+        expected = {"method": "lp", "value": 0.871924119567, "argmin": [0, 0, 3, 2, 2]}
+        assert doc["bounds"] == [expected]
 
     def test_curve_exits_1_naming_the_lengths(self, sqrt_lift, psd_path, capsys):
         # at s=3 the lift is by one degree, where every orbit size is 1 and

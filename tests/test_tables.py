@@ -1,67 +1,29 @@
 """The (d, s) tables pinned bitwise against the builders they replaced.
 
-composition_array is built by numpy block concatenation, orbit_sizes in
-int64 wherever the multinomials fit, and the cone LP's structure ranks
-the heads of its targets and sorts on a narrow key.  The references below
-are the earlier builders, kept as they were: the recursive tuple list,
-the object-factorial orbit sizes, and the column_stack + int32 argsort
-structure.  Every output must match them in dtype, shape and bytes, but
-for the structure's rows and cols, now held as intp: those match the
-reference's values cast to intp.
+composition_array is built by numpy block concatenation and orbit_sizes in
+int64 wherever the multinomials fit; the references are the earlier
+builders, kept as they were in cone_lp_reference: the recursive tuple list
+and the object-factorial orbit sizes.  Every output must match them in
+dtype, shape and bytes.  The cone LP keeps no entry of its u-block B, only
+the index maps of the Horner sweeps that apply B, B^-1 and their
+transposes; each sweep must reproduce, exactly, B from the column-stack
+triplets the LP once cached (reference_structure).
 """
-
-import math
-from functools import lru_cache
 
 import numpy as np
 import pytest
+from cone_lp_reference import (
+    dense_u_block,
+    reference_composition_array,
+    reference_compositions,
+    reference_orbit_sizes,
+    reference_structure,
+    swept,
+)
 
-from finex.bernstein_lp import _placement, _structural_solve, _structure, assemble, lower_bound_lp
+from finex.bernstein_lp import _placement, _structural_solve, _sweeps, assemble, lower_bound_lp
 from finex.multiindex import composition_array, compositions, orbit_sizes, ranks
 from finex.polynomial import SimplexPolynomial, sum_of_squares, two_face_witness
-
-
-@lru_cache(maxsize=None)
-def reference_compositions(r, d):
-    if d == 1:
-        return ((r,),)
-    out = []
-    for v in range(r, -1, -1):
-        for tail in reference_compositions(r - v, d - 1):
-            out.append((v,) + tail)
-    return tuple(out)
-
-
-def reference_composition_array(r, d):
-    return np.array(reference_compositions(r, d), dtype=np.int64).reshape(-1, d)
-
-
-def reference_orbit_sizes(r, d):
-    factorials = np.array([math.factorial(k) for k in range(r + 1)], dtype=object)
-    exact = factorials[r] // np.prod(factorials[reference_composition_array(r, d)], axis=1)
-    return exact.astype(np.float64)
-
-
-def reference_structure(d, s):
-    """rows, cols, weights, inverse_weights, row_start, q as the earlier _structure built them."""
-    counts = reference_composition_array(s, d)
-    rows, cols, weights = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0)]
-    for k in range(1, s + 1):
-        js = reference_composition_array(k, d)[1:]
-        if not len(js):
-            continue
-        w = reference_orbit_sizes(k, d)[1:] * (-1.0) ** (k - js[:, 0])
-        cols_k = np.flatnonzero(counts[:, -1] == k)
-        targets = (counts[cols_k, None, :-1] + js[None, :, 1:]).reshape(-1, d - 1)
-        full = np.column_stack([targets, s - targets.sum(axis=1)])
-        rows.append(ranks(full, s).astype(np.int32))
-        cols.append(np.repeat(cols_k, len(js)).astype(np.int32))
-        weights.append(np.tile(w, len(cols_k)))
-    rows = np.concatenate(rows)
-    order = np.argsort(rows, kind="stable")
-    rows, cols, weights = rows[order], np.concatenate(cols)[order], np.concatenate(weights)[order]
-    row_start = np.searchsorted(rows, np.arange(len(counts) + 1, dtype=np.int32))
-    return rows, cols, weights, np.abs(weights), row_start, reference_orbit_sizes(s, d)
 
 
 def assert_bitwise(actual, expected):
@@ -108,16 +70,41 @@ def test_orbit_sizes_match_where_the_binomials_overflow(r, d):
 
 
 STRUCTURE_SHAPES = [(d, s) for d in range(1, 7) for s in range(11)] + [(3, 16)]
-FIELDS = ("rows", "cols", "weights", "inverse_weights", "row_start", "q")
+
+
+def triplet_product(d, s, x, inverse=False, transpose=False):
+    """The same product from the triplets, in exact integers."""
+    rows, cols, weights, inverse_weights, _, _ = reference_structure(d, s)
+    w = (inverse_weights if inverse else weights).astype(np.int64)
+    if transpose:
+        rows, cols = cols, rows
+    out = x.copy()
+    np.add.at(out, rows, w[:, None] * x[cols])
+    return out
 
 
 @pytest.mark.parametrize("d, s", STRUCTURE_SHAPES, ids=[f"d{d}-s{s}" for d, s in STRUCTURE_SHAPES])
 def test_structure_matches_the_column_stack_build(d, s):
-    st = _structure(d, s)
-    for name, expected in zip(FIELDS, reference_structure(d, s)):
-        if name in ("rows", "cols"):
-            expected = expected.astype(np.intp)
-        assert_bitwise(getattr(st, name), expected)
+    # every unit vector where B fits densely, else a block of small integers;
+    # either way every product is an exact integer
+    n = len(composition_array(s, d))
+    if n <= 500:
+        x = np.eye(n, dtype=np.int64)
+        block, block_inverse = dense_u_block(d, s)
+        assert np.array_equal(block @ block_inverse, x)
+        assert np.array_equal(assemble(SimplexPolynomial(d, 0, {}), s).lp.a[:, :-1], block)
+    else:
+        x = np.random.default_rng(n).integers(-3, 4, size=(n, 6))
+    for inverse in (False, True):
+        for transpose in (False, True):
+            expected = triplet_product(d, s, x, inverse, transpose)
+            assert np.abs(expected).max() < 2**53
+            actual = swept(d, s, x.astype(float), inverse, transpose)
+            assert np.array_equal(actual, expected.astype(float))
+    back = swept(d, s, swept(d, s, x.astype(float)), inverse=True)
+    assert np.array_equal(back, x)
+    maps = _sweeps(d, s)
+    assert_bitwise(maps.q, reference_orbit_sizes(s, d)[maps.order])
 
 
 @pytest.mark.parametrize("d, k, s", [(1, 0, 3), (2, 2, 5), (3, 3, 3), (6, 2, 8)])
@@ -128,9 +115,9 @@ def test_placement_is_the_rank_of_each_padded_head(d, k, s):
 
 
 def test_cached_tables_are_read_only():
-    st = _structure(3, 4)
+    maps = _sweeps(3, 4)
     cached = [composition_array(4, 3), orbit_sizes(4, 3), _placement(3, 2, 4)]
-    cached += [getattr(st, name) for name in FIELDS if name != "q"]
+    cached += [maps.order, maps.position, maps.up, maps.down, maps.q]
     for array in cached:
         assert not array.flags.writeable
 

@@ -1,24 +1,31 @@
-"""verify's hot path pinned bitwise against the formulations it replaced.
+"""verify's hot path pinned against the formulations it replaced.
 
-`_seeded_quadratics` draws each observable's coefficients as one vector,
-`PolynomialBlock.of` fills its matrix with one scatter over every
-(term, column) pair, and the cone LP's `_solve` writes its primal and y A
-in place.  The references below are the earlier code, kept as it was:
-one scalar draw per term through the validating constructor, one
-assignment per column, and the vstack / diff solve.  Every output must
-match them bit for bit, and the generator must end in the same state, so
-the dense rows that draw after the quadratics draw the same numbers.
+`_seeded_quadratics` draws each observable's coefficients as one vector
+and `PolynomialBlock.of` fills its matrix with one scatter over every
+(term, column) pair.  The references below are the earlier code, kept as
+it was: one scalar draw per term through the validating constructor and
+one assignment per column.  Every output must match them bit for bit, and
+the generator must end in the same state, so the dense rows that draw
+after the quadratics draw the same numbers.
+
+The cone LP's `_solve` applies its u-block by Horner sweeps, which round
+differently from the triplet (vstack) formulation it replaced, so the
+solve is held to exact rationals instead: on seeded blocks its p = B^-1 b,
+value and u lie within a few ulps of the Fraction values of the same b,
+as the vstack formulation's do, and the dual, exact integers over one
+orbit size, is bitwise the correctly rounded Fraction.
 """
 
 import numpy as np
 import pytest
+from cone_lp_reference import exact_dual, exact_solve, reference_orbit_sizes, reference_solve, swept
 
-from finex.bernstein_lp import _right_hand_sides, _solve, _structure
+from finex.bernstein_lp import _right_hand_sides, _solve
 from finex.cli import _seeded_quadratics
 from finex.errors import SolverFailure
 from finex.multiindex import compositions
 from finex.polynomial import PolynomialBlock, SimplexPolynomial, two_face_witness
-from finex.solvers import certificate_residuals, within_tolerances
+from finex.solvers import within_tolerances
 
 
 def bits(x):
@@ -109,41 +116,15 @@ def test_block_matches_one_assignment_per_column(columns):
     assert not block.coefficients.flags.writeable
 
 
-def reference_scatter(index, values, rows):
-    size = values.shape[1]
-    flat = index if size == 1 else (index[:, None] * np.int64(size) + np.arange(size)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=rows * size).reshape(rows, size)
+# a few ulps of |B^-1| |b| (over q for c), the scale of each sum's rounding:
+# on these blocks and test_blocks.py's, the sweeps' p errs by at most 2 and
+# c by 1, the vstack formulation's by 1 and 1
+ULPS = 4
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def reference_solve(d, s, b):
-    """The earlier _solve without its validation: (values, primal, dual, residuals)."""
-    st = _structure(d, s)
-    q = st.q
-    m, size = b.shape
-    columns = np.arange(size)
-    p = b + reference_scatter(st.rows, st.inverse_weights[:, None] * b[st.cols], m)
-    ratios = p / q[:, None]
-    leaving = np.argmin(ratios, axis=0)
-    c = ratios[leaving, columns]
-    u = np.maximum(p - c * q[:, None], 0.0)
-    u[leaving, columns] = 0.0
-    primal = np.vstack([u, c])
-    starts, lengths = st.row_start[leaving], np.diff(st.row_start)[leaving]
-    entries = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-    owner = np.repeat(columns, lengths)
-    dual = np.zeros((m, size))
-    dual[st.cols[entries], owner] = st.inverse_weights[entries] / q[leaving][owner]
-    dual[leaving, columns] = 1.0 / q[leaving]
-    ax = u + reference_scatter(st.rows, st.weights[:, None] * u[st.cols], m)
-    ax[-1] += c
-    ya = np.vstack([dual, dual[-1]]) + reference_scatter(
-        st.cols, st.weights[:, None] * dual[st.rows], m + 1
-    )
-    reduced = -ya
-    reduced[m] += 1.0
-    residuals = certificate_residuals(ax - b, reduced, primal, np.arange(m + 1) == m)
-    return c, primal, dual, residuals
+def within_ulps(computed, exact, magnitude):
+    error = np.abs(np.asarray(computed, dtype=float) - np.array([float(v) for v in exact]))
+    return bool(np.all(error <= ULPS * np.spacing(np.asarray(magnitude, dtype=float))))
 
 
 def solve_cases():
@@ -171,15 +152,31 @@ SOLVE_IDS = [f"d{cols[0].d}-k{cols[0].degree}-s{s}-b{len(cols)}" for cols, s in 
 @pytest.mark.parametrize("columns, s", SOLVE_CASES, ids=SOLVE_IDS)
 def test_solve_matches_the_vstack_formulation(columns, s):
     block = PolynomialBlock.of(columns)
+    d = block.d
     b = _right_hand_sides(block, s)
-    expected = reference_solve(block.d, s, b)
-    values, primal, dual, residuals = _solve(block.d, s, b)
-    assert np.array_equal(bits(values), bits(expected[0]))
-    assert np.array_equal(bits(primal), bits(expected[1]))
-    assert np.array_equal(bits(dual), bits(expected[2]))
-    assert residuals.keys() == expected[3].keys()
-    for key in residuals:
-        assert np.array_equal(bits(residuals[key]), bits(expected[3][key]))
+    values, primal, dual, residuals, leaving = _solve(d, s, b)
+    vstack = reference_solve(d, s, b)
+    p = swept(d, s, b, inverse=True)
+    q = reference_orbit_sizes(s, d)
+    for j, exact in enumerate(exact_solve(d, s, b)):
+        scale, l = exact["magnitude"], leaving[j]
+        assert within_ulps(p[:, j], exact["p"], scale)
+        assert within_ulps(vstack[4][:, j], exact["p"], scale)
+        # the leaving column is the exact one, or ties with it within the rounding
+        assert l == exact["leaving"] or within_ulps([exact["ratios"][l]], [exact["c"]], scale[l])
+        assert within_ulps([values[j], vstack[0][j]], [exact["c"]] * 2, [scale[l] / q[l]] * 2)
+        assert bits(primal[-1, j]) == bits(values[j])
+        rounded = np.array([float(v) for v in exact_dual(d, s, l)])
+        assert np.array_equal(bits(dual[:, j]), bits(rounded))
+        if l == exact["leaving"]:
+            assert np.array_equal(bits(vstack[2][:, j]), bits(rounded))
+        # u = p - c q, clipped at 0, and 0 at the leaving column
+        u = primal[:-1, j]
+        assert u[l] == 0.0 and np.all(u >= 0.0)
+        clipped = [max(v - exact["c"] * int(n), 0) for v, n in zip(exact["p"], q)]
+        assert within_ulps(u, clipped, 2 * scale)
+    assert residuals.keys() == vstack[3].keys()
+    assert within_tolerances(residuals).all()
     for x in (values, primal, dual):
         assert x.dtype == np.float64
 
@@ -194,4 +191,8 @@ def test_solve_fails_where_the_vstack_formulation_fails():
     assert within_tolerances(residuals).tolist() == [True, False]
     with pytest.raises(SolverFailure) as caught:
         _solve(3, 18, b)
-    assert caught.value.diagnostics == {key: float(v[1]) for key, v in residuals.items()}
+    with pytest.raises(SolverFailure) as single:
+        _solve(3, 18, b[:, 1:])
+    assert caught.value.diagnostics == single.value.diagnostics
+    assert caught.value.diagnostics["primal"] > 1e-8
+    _solve(3, 18, b[:, :1])
