@@ -30,7 +30,7 @@ from .boson import (
     symmetrizer,
     witness_value,
 )
-from .bernstein_lp import ConeMembershipLP, assemble, lower_bound_lp, solve_lp
+from .bernstein_lp import ConeMembershipLP, assemble, lower_bound_lp
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     CapacityError,
@@ -62,15 +62,9 @@ from .polynomial import (
     SimplexPolynomial,
     evaluate,
     homogenize,
-    reduce_to_free_vars,
     to_diagonal_observable,
 )
-from .solvers import (
-    EigenDecomposition,
-    LinearProgram,
-    jacobi_eigen,
-    simplex_solve,
-)
+from .solvers import EigenDecomposition, jacobi_eigen
 
 __version__ = "0.1.0"
 
@@ -86,7 +80,6 @@ __all__ = [
     "ExchangeabilityError",
     "ExchangeableDistribution",
     "FinexError",
-    "LinearProgram",
     "NormalizationError",
     "OccupationBasis",
     "SimplexPolynomial",
@@ -108,15 +101,13 @@ __all__ = [
     "permutation_matrix",
     "quantum_bound",
     "rank",
-    "reduce_to_free_vars",
     "rho_from_exchangeable",
     "sample",
     "sequence_to_counts",
     "simplex_minimum",
-    "simplex_solve",
-    "solve_lp",
     "symmetrizer",
     "to_diagonal_observable",
     "unrank",
+    "urn_distribution",
     "witness_value",
 ]

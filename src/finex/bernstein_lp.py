@@ -26,26 +26,25 @@ theta_d in a degree-s form, and B^-1 theta_d + (theta_1 + ... +
 theta_{d-1}), so B, B^-1 and their transposes are Horner sweeps (Farouki &
 Rajan 1988) over O(N d) index maps cached per (d, s).  b is g's own
 reduction, not its lift's ((sum theta)^(s-k) reduces to 1), a sweep at
-(d, g.degree).  ConeMembershipLP.lp writes a dense A on first read, for
-dump and the tests.  Since A is shared, lp_block solves a block of
-observables of one shape together, one column of b each, and validates
+(d, g.degree).  dump lists B row by row, each row a transpose sweep, and
+refuses past DENSE_CAP rows.  Since A is shared, lp_block solves a block
+of observables of one shape together, one column of b each, and validates
 each column's certificate on its own; lower_bound_lp is a block of one."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
-from .errors import DomainError, SolverFailure
+from .config import DEFAULT_TOLERANCES, DENSE_CAP
+from .errors import CapacityError, DomainError, SolverFailure
 from .exchangeable import (
     BoundResult,
     oracle_bound,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
 )
 from .multiindex import (
-    CountVector,
     composition_array,
     compositions,
     head_ranks,
@@ -59,7 +58,6 @@ from .polynomial import (
     reduce_to_free_vars,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
 )
 from .solvers import (
-    LinearProgram,
     certificate_residuals,
     simplex_solve,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
     within_tolerances,
@@ -81,26 +79,9 @@ class ConeMembershipLP:
     b: np.ndarray
 
     @property
-    def u_columns(self) -> list[CountVector]:
-        """The count vector of each u column, compositions(s, d); a fresh list."""
-        return compositions(self.s, self.d)
-
-    @property
     def rows(self) -> list[tuple[int, ...]]:
         """The reduced-monomial exponent labelling each row, (n_1, ..., n_{d-1}); a fresh list."""
         return [n[: self.d - 1] for n in compositions(self.s, self.d)]
-
-    @cached_property
-    def lp(self) -> LinearProgram:
-        """The system as a dense LinearProgram, written on first read; shares b."""
-        maps, m = _sweeps(self.d, self.s), len(self.b)
-        x = np.zeros((m + 1, m + 1))
-        x[maps.position[:m], np.arange(m)] = 1.0
-        a = _sweep(maps, x, np.subtract)[maps.position[:m]]  # B e_j: exact integers
-        # the constant c contributes only to the constant-monomial row
-        a[m - 1, m] = 1.0
-        is_c = np.arange(m + 1) == m  # c is the one free column and the objective
-        return LinearProgram(a, self.b, is_c.astype(float), is_c)
 
 
 @dataclass(frozen=True)
@@ -290,29 +271,6 @@ def _column(residuals: dict, j: int) -> dict:
     return {key: float(value[j]) for key, value in residuals.items()}
 
 
-def _structural_solve(cone_lp: ConeMembershipLP) -> tuple[float, np.ndarray, np.ndarray, dict, int]:
-    """_solve for an assembled system, one column; (value, primal, dual, residuals, leaving)."""
-    c, primal, dual, residuals, leaving = _solve(cone_lp.d, cone_lp.s, cone_lp.b[:, None])
-    return float(c[0]), primal[:, 0], dual[:, 0], _column(residuals, 0), int(leaving[0])
-
-
-def solve_lp(cone_lp: ConeMembershipLP) -> tuple[float, np.ndarray, np.ndarray]:
-    """Solve an assembled system; returns (optimal value, primal, dual).
-
-    The solve starts from the structural basis (the u-block, whose inverse
-    is a Horner sweep, like the block itself) and needs a single pivot, c
-    entering; the result's primal, dual and complementary-slackness
-    residuals against A (applied by the sweeps) and b must be within
-    DEFAULT_TOLERANCES.  Otherwise it raises DomainError if a residual
-    overflowed and SolverFailure if not.
-    The dual has one entry per monomial row; paired with the reduction of
-    any degree-s monomial it prices that monomial's expectation, which is
-    how the optimal dual encodes the minimizing exchangeable distribution.
-    """
-    value, primal, dual, _, _ = _structural_solve(cone_lp)
-    return value, primal, dual
-
-
 def lp_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """LP route to the worst-case expectation over length-s sequences, for each column.
 
@@ -329,54 +287,58 @@ def lower_bound_lp(g: SimplexPolynomial, s: int) -> BoundResult:
     """LP route to the worst-case expectation over length-s sequences, for g alone.
 
     g is a block of one: assemble writes its b as lp_block does, and the
-    solve is _solve on that one column.  The solution carries validated
-    residuals (see solve_lp).  Its argmin is the leaving column's count
-    vector: p_j / q_j there is the urn's expectation, the smallest.  It
+    solve is _solve on that one column, with validated residuals.  Its
+    argmin is the leaving column's count vector: p_j / q_j there is the
+    urn's expectation, the smallest.  The certificate holds the solve's own
+    arrays, in compositions(s, d) order: u, the cone coefficients; c, the
+    value; and dual, one price per monomial row.  Paired with the reduction
+    of any degree-s monomial the dual prices that monomial's expectation,
+    which is how it encodes the minimizing exchangeable distribution.  It
     neither lifts g nor consults another route: comparing the routes is
     left to the commands that compute more than one.
     """
-    cone_lp = assemble(g, s)
-    value, primal, dual, residuals, leaving = _structural_solve(cone_lp)
-    counts = composition_array(s, g.d)
-    u_values = primal[:-1]
-    kept = np.flatnonzero(np.abs(u_values) > 0.0)
-    u = dict(zip(map(tuple, counts[kept].tolist()), u_values[kept].tolist()))
-    certificate = {
-        "u": u,
-        "c": float(primal[-1]),
-        "dual": dual.tolist(),
-    }
+    c, primal, dual, residuals, leaving = _solve(g.d, s, assemble(g, s).b[:, None])
+    value = float(c[0])
     return BoundResult(
         value=value,
         method="lp",
-        argmin=tuple(counts[leaving].tolist()),
-        certificate=certificate,
+        argmin=tuple(composition_array(s, g.d)[leaving[0]].tolist()),
+        certificate={"u": primal[:-1, 0], "c": value, "dual": dual[:, 0]},
         diagnostics={
             "iterations": 1,  # the single pivot, c entering
-            "residuals": residuals,
-            "rows": len(u_values),
+            "residuals": _column(residuals, 0),
+            "rows": len(dual),
             "columns": len(primal),
         },
     )
 
 
 def dump(cone_lp: ConeMembershipLP) -> str:
-    """Human-readable listing of the assembled system (debugging aid)."""
-    u_columns, rows = cone_lp.u_columns, cone_lp.rows
+    """Human-readable listing of the assembled system (debugging aid).
+
+    Row i of the u-block is B^T e_i, written by transpose sweeps of 64 unit
+    vectors at a time, so no N x N array is built.  Past DENSE_CAP rows it
+    raises CapacityError before any sweep.
+    """
+    d, s, m = cone_lp.d, cone_lp.s, len(cone_lp.b)
+    if m > DENSE_CAP:
+        raise CapacityError(f"the cone LP listing has N = {m} rows, over the dense cap {DENSE_CAP}")
+    counts, maps = compositions(s, d), _sweeps(d, s)
+    columns = [f"*u{list(n)}" for n in counts]
     lines = [
-        f"cone membership LP  d={cone_lp.d}  s={cone_lp.s}",
-        f"rows={len(rows)}  columns={len(u_columns) + 1}"
-        "  (non-negative u columns + free c)",
+        f"cone membership LP  d={d}  s={s}",
+        f"rows={m}  columns={m + 1}  (non-negative u columns + free c)",
         "objective: maximize c",
     ]
-    a, b = cone_lp.lp.a, cone_lp.lp.b
-    for i, e in enumerate(rows):
-        parts = [
-            f"{a[i, j]:+g}*u{list(u_columns[j])}"
-            for j in np.flatnonzero(a[i, :-1])
-        ]
-        if a[i, -1]:
-            parts.append(f"{a[i, -1]:+g}*c")
-        label = "".join(f"t{k+1}^{p}" for k, p in enumerate(e) if p) or "1"
-        lines.append(f"[{label}]  " + " ".join(parts) + f" = {b[i]:g}")
+    for rows in np.split(np.arange(m), range(64, m, 64)):
+        x = np.zeros((m + 1, len(rows)))
+        x[maps.position[rows], np.arange(len(rows))] = 1.0
+        block = _sweep(maps, x, np.subtract, transpose=True).take(maps.position[:m], axis=0)
+        for i, row in zip(rows.tolist(), block.T):
+            nonzero = np.flatnonzero(row)
+            parts = [f"{v:+g}{columns[j]}" for j, v in zip(nonzero.tolist(), row[nonzero].tolist())]
+            if i == m - 1:  # c enters only the constant-monomial row, last in compositions order
+                parts.append("+1*c")
+            label = "".join(f"t{k+1}^{p}" for k, p in enumerate(counts[i][:-1]) if p) or "1"
+            lines.append(f"[{label}]  " + " ".join(parts) + f" = {cone_lp.b[i]:g}")
     return "\n".join(lines)

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, DENSE_CAP
 from .errors import CapacityError, DomainError, SolverFailure
 from .exchangeable import BoundResult, ExchangeableDistribution
 from .multiindex import (
@@ -52,8 +52,6 @@ from .polynomial import (
     homogenize,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
 )
 from .solvers import jacobi_eigen, require_hermitian
-
-DENSE_CAP = 4096
 
 
 def _check_dense(s: int, d: int, order: np.ndarray | None = None) -> int:

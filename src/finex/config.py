@@ -11,7 +11,9 @@ live beside their code instead: `verify`'s dense-row bounds (1e-12, and
 and 1e-14 step floor (boson.simplex_minimum), and `coin-demo`'s 1e-12
 check of the witness value.  The eigensolver has no iteration knob:
 LAPACK runs its own iteration, and finex bounds only the input's
-Hermiticity and the result's residual.
+Hermiticity and the result's residual.  DENSE_CAP bounds every dense
+object finex writes: the d**s tensor space of the boson checks and the
+rows of the cone LP's listing.
 """
 
 from dataclasses import dataclass
@@ -47,3 +49,5 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+DENSE_CAP = 4096

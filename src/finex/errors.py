@@ -18,7 +18,7 @@ class NormalizationError(DomainError):
 
 
 class CapacityError(FinexError):
-    """A dense tensor-space object would exceed the supported size."""
+    """A dense object (a tensor-space matrix, an LP listing) would exceed config.DENSE_CAP."""
 
 
 class SolverFailure(FinexError):

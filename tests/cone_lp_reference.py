@@ -8,9 +8,10 @@ entries.  reference_solve is the LP's solve written on those triplets, one
 bincount per product and a vstack (the "vstack formulation"), and
 exact_solve and exact_dual are the same solve in fractions.Fraction
 arithmetic.  None of it shares code with the sweeps; the tables come from
-the recursive tuple builders below, not from finex.multiindex.  Only
-swept, last, calls the sweeps, in compositions order, for the tests to
-hold against these references.
+the recursive tuple builders below, not from finex.multiindex.  finex
+writes no dense A, so dense_lp writes one, from either u-block, for the
+tests and the reference simplex.  Only swept, last, calls the sweeps, in
+compositions order, for the tests to hold against these references.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from finex.bernstein_lp import _sweep, _sweeps
 from finex.multiindex import ranks
-from finex.solvers import certificate_residuals
+from finex.solvers import LinearProgram, certificate_residuals
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +84,20 @@ def dense_u_block(d, s):
     block[rows, cols] = weights
     inverse[rows, cols] = inverse_weights
     return block, inverse
+
+
+def dense_lp(cone_lp, block):
+    """cone_lp as a dense LinearProgram: u-block `block` (n x n), then c's free column.
+
+    c enters only the constant-monomial row, last in compositions order,
+    and is the objective.
+    """
+    m = len(cone_lp.b)
+    a = np.zeros((m, m + 1))
+    a[:, :m] = block
+    a[-1, m] = 1.0
+    is_c = np.arange(m + 1) == m
+    return LinearProgram(a, cone_lp.b, is_c.astype(float), is_c)
 
 
 def reference_scatter(index, values, rows):

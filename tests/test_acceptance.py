@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from finex.bernstein_lp import assemble, lower_bound_lp
+from finex.bernstein_lp import assemble, dump, lower_bound_lp
 from finex.boson import (
     BosonDensityMatrix,
     OccupationBasis,
@@ -193,8 +193,8 @@ def test_criterion_7_structural_suite():
             assert np.abs(p @ dense @ p.T - dense).max() <= 1e-10
 
     cone_lp = assemble(WITNESS, 2)
-    assert len(cone_lp.rows) == 21
-    assert cone_lp.lp.a.shape == (21, 22)
+    assert len(cone_lp.rows) == len(cone_lp.b) == 21
+    assert "rows=21  columns=22" in dump(cone_lp)
 
     elapsed = time.perf_counter() - start
     _report(7, f"projector, orthonormality, index symmetry, 21 rows in {elapsed:.1f}s")

@@ -1,18 +1,20 @@
 """The cone-membership LP: assembly rows, the 21-row instance, oracle agreement."""
 
 import ast
+import hashlib
 import importlib
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from cone_lp_reference import dense_lp, dense_u_block, swept
 
 import finex.bernstein_lp
 import finex.exchangeable
 import finex.solvers
-from finex.bernstein_lp import _structural_solve, assemble, dump, lower_bound_lp, solve_lp
-from finex.errors import DomainError, SolverFailure
+from finex.bernstein_lp import _solve, assemble, dump, lower_bound_lp
+from finex.errors import CapacityError, DomainError, SolverFailure
 from finex.exchangeable import oracle_bound
 from finex.multiindex import compositions, rank
 from finex.polynomial import (
@@ -28,35 +30,50 @@ from finex.polynomial import (
 from finex.solvers import OPTIMAL, certificate_residuals, simplex_solve
 
 
+def swept_lp(cone_lp):
+    """The system as a dense LinearProgram, its u-block written by finex's sweeps."""
+    return dense_lp(cone_lp, swept(cone_lp.d, cone_lp.s, np.eye(len(cone_lp.b))))
+
+
+def reference_lp(cone_lp):
+    """The system as a dense LinearProgram, its u-block written from the reference triplets."""
+    return dense_lp(cone_lp, dense_u_block(cone_lp.d, cone_lp.s)[0])
+
+
+def solve(cone_lp):
+    """_solve on the system's one column: (values, primals, duals, residuals, leaving)."""
+    return _solve(cone_lp.d, cone_lp.s, cone_lp.b[:, None])
+
+
 def row_as_dict(cone_lp, row_index):
     """Column label -> coefficient for one equality row (c labelled 'c')."""
+    a = swept_lp(cone_lp).a
     out = {}
-    for j, n in enumerate(cone_lp.u_columns):
-        if cone_lp.lp.a[row_index, j]:
-            out[n] = cone_lp.lp.a[row_index, j]
-    if cone_lp.lp.a[row_index, -1]:
-        out["c"] = cone_lp.lp.a[row_index, -1]
+    for j, n in enumerate(compositions(cone_lp.s, cone_lp.d)):
+        if a[row_index, j]:
+            out[n] = a[row_index, j]
+    if a[row_index, -1]:
+        out["c"] = a[row_index, -1]
     return out
 
 
 class TestAssembly:
     def test_dimensions_for_six_face_witness(self):
         cone_lp = assemble(two_face_witness(), 2)
-        assert len(cone_lp.rows) == 21
-        assert cone_lp.lp.a.shape == (21, 22)
-        assert cone_lp.lp.free.sum() == 1 and cone_lp.lp.free[-1]
+        assert len(cone_lp.rows) == len(cone_lp.b) == 21
+        assert swept_lp(cone_lp).a.shape == (21, 22)
 
     def test_constant_row_reads_minus_c_minus_u(self):
         # rearranged: c + u_{000002} = 0
         cone_lp = assemble(two_face_witness(), 2)
         i = cone_lp.rows.index((0, 0, 0, 0, 0))
         assert row_as_dict(cone_lp, i) == {(0, 0, 0, 0, 0, 2): 1.0, "c": 1.0}
-        assert cone_lp.lp.b[i] == 0.0
+        assert cone_lp.b[i] == 0.0
 
     def test_known_rows_of_six_face_system(self):
         # five rows of the d=6, s=2 system, checked coefficient by coefficient
         cone_lp = assemble(two_face_witness(), 2)
-        b = cone_lp.lp.b
+        b = cone_lp.b
 
         i = cone_lp.rows.index((2, 0, 0, 0, 0))  # theta_1^2
         assert row_as_dict(cone_lp, i) == {
@@ -97,8 +114,8 @@ class TestAssembly:
             g = monomial((deg,) + (0,) * (d - 1))
             cone_lp = assemble(g, s)
             expected = len(compositions(s, d))
-            assert len(cone_lp.rows) == expected
-            assert cone_lp.lp.a.shape == (expected, expected + 1)
+            assert len(cone_lp.rows) == len(cone_lp.b) == expected
+            assert swept_lp(cone_lp).a.shape == (expected, expected + 1)
 
     def test_rejects_short_sequence(self):
         with pytest.raises(DomainError):
@@ -128,8 +145,8 @@ class TestAssemblyMatchesReduction:
         for s in range(s_max + 1):
             cone_lp = assemble(constant(1.0, d), s)
             a, _ = reference_assembly(constant(1.0, d), s)
-            assert cone_lp.lp.a.shape == a.shape
-            assert np.array_equal(cone_lp.lp.a, a)
+            assert np.array_equal(swept_lp(cone_lp).a, a)
+            assert np.array_equal(reference_lp(cone_lp).a, a)
             assert cone_lp.rows == [n[: d - 1] for n in compositions(s, d)]
 
     def test_b_matches_the_reduced_lifted_observable(self):
@@ -142,7 +159,7 @@ class TestAssemblyMatchesReduction:
             )
             cases.append((g, s))
         for g, s in cases:
-            b = assemble(g, s).lp.b
+            b = assemble(g, s).b
             _, expected = reference_assembly(g, s)
             scale = max(np.abs(expected).max(), 1.0)
             assert np.abs(b - expected).max() <= 1e-11 * scale
@@ -150,20 +167,16 @@ class TestAssemblyMatchesReduction:
     def test_mutating_a_result_leaves_the_next_assembly_unchanged(self):
         g = two_face_witness(3)
         first = assemble(g, 4)
-        a, b = first.lp.a.copy(), first.lp.b.copy()
-        u_columns, rows = list(first.u_columns), list(first.rows)
-        first.lp.a[:] = 7.0
-        first.lp.b[:] = 7.0
-        assert first.u_columns is not first.u_columns and first.rows is not first.rows
-        first.u_columns.reverse()
-        first.u_columns.append((9, 9, 9))
-        first.rows.clear()
+        b, rows, text = first.b.copy(), list(first.rows), dump(first)
+        first.b[:] = 7.0
+        assert first.rows is not first.rows
+        first.rows.reverse()
+        first.rows.append((9, 9))
         second = assemble(g, 4)
-        assert np.array_equal(second.lp.a, a)
-        assert np.array_equal(second.lp.b, b)
-        assert second.u_columns == u_columns
+        assert np.array_equal(second.b, b)
         assert second.rows == rows
-        assert solve_lp(second)[0] == pytest.approx(oracle_bound(g, 4).value, abs=1e-9)
+        assert dump(second) == text
+        assert solve(second)[0][0] == pytest.approx(oracle_bound(g, 4).value, abs=1e-9)
 
 
 # perfbench/tracer.py replaces these attributes (module globals, and two
@@ -252,8 +265,7 @@ class TestStructuralBasis:
         # non-zero in a row of strictly higher reduced degree
         for s in range(7):
             cone_lp = assemble(constant(1.0, d), s)
-            m = len(cone_lp.u_columns)
-            block = cone_lp.lp.a[:, :m]
+            block = swept(d, s, np.eye(len(cone_lp.b)))
             level = np.array([sum(e) for e in cone_lp.rows])
             assert np.all(np.diag(block) == 1.0)
             rows, cols = np.nonzero(block)
@@ -268,9 +280,9 @@ class TestStructuralBasis:
                 d, 2, {n: float(rng.uniform(-1, 1)) for n in compositions(2, d)}
             )
             cone_lp = assemble(g, int(rng.integers(2, 6)))
-            reference = simplex_solve(cone_lp.lp)
+            reference = simplex_solve(reference_lp(cone_lp))
             assert reference.status == OPTIMAL
-            assert solve_lp(cone_lp)[0] == pytest.approx(reference.optimum, abs=1e-9)
+            assert solve(cone_lp)[0][0] == pytest.approx(reference.optimum, abs=1e-9)
 
     def test_sparse_residuals_match_the_dense_system(self):
         rng = np.random.default_rng(1234)
@@ -280,8 +292,10 @@ class TestStructuralBasis:
                 d, 2, {n: float(rng.uniform(-1, 1)) for n in compositions(2, d)}
             )
             cone_lp = assemble(g, int(rng.integers(2, 6)))
-            _, x, y, sparse, _ = _structural_solve(cone_lp)
-            lp = cone_lp.lp
+            _, x, y, sparse, _ = solve(cone_lp)
+            x, y = x[:, 0], y[:, 0]
+            sparse = {key: float(value[0]) for key, value in sparse.items()}
+            lp = reference_lp(cone_lp)
             dense = certificate_residuals(lp.a @ x - lp.b, lp.objective - y @ lp.a, x, lp.free)
             assert sparse.keys() == dense.keys()
             for key in dense:
@@ -292,19 +306,19 @@ class TestStructuralBasis:
             raise AssertionError("not on the solve path")
 
         monkeypatch.setattr(finex.bernstein_lp, "homogenize", refuse)
-        monkeypatch.setattr(finex.bernstein_lp, "LinearProgram", refuse)
         monkeypatch.setattr(finex.solvers, "LinearProgram", refuse)
         for g, s in [(two_face_witness(), 4), (sum_of_squares(3), 9), (constant(2.0, 1), 3)]:
             result = lower_bound_lp(g, s)
             assert result.value == pytest.approx(oracle_bound(g, s).value, abs=1e-9)
         assert not hasattr(assemble(two_face_witness(), 2), "lifted")
+        assert not hasattr(finex.bernstein_lp, "LinearProgram")
         assert not hasattr(finex.exchangeable, "oracle_bound_lifted")
 
     def test_matches_general_simplex_on_six_face_witness(self):
         cone_lp = assemble(two_face_witness(), 5)
-        reference = simplex_solve(cone_lp.lp)
+        reference = simplex_solve(reference_lp(cone_lp))
         assert reference.status == OPTIMAL
-        assert solve_lp(cone_lp)[0] == pytest.approx(reference.optimum, abs=1e-9)
+        assert solve(cone_lp)[0][0] == pytest.approx(reference.optimum, abs=1e-9)
 
     def test_needs_neither_the_lift_nor_the_oracle(self, monkeypatch):
         # the LP reads g itself, and comparing routes is left to the commands
@@ -437,7 +451,7 @@ class TestCertificates:
             rebuilt = dict(
                 homogenize(constant(cert["c"], d), s).terms
             )
-            for n, u in cert["u"].items():
+            for n, u in zip(compositions(s, d), cert["u"]):
                 rebuilt[n] = rebuilt.get(n, 0.0) + u
             lifted = homogenize(g, s)
             for n in compositions(s, d):
@@ -447,15 +461,14 @@ class TestCertificates:
 
     def test_cone_coefficients_nonnegative(self):
         result = lower_bound_lp(two_face_witness(), 2)
-        assert all(u >= -1e-9 for u in result.certificate["u"].values())
+        assert np.all(result.certificate["u"] >= -1e-9)
 
     def test_dual_prices_are_quasi_expectations(self):
         # dual feasibility: every monomial's price is non-negative, and the
         # price of the normalization polynomial (sum theta)^s is one
-        cone_lp = assemble(two_face_witness(), 2)
-        value, primal, dual = solve_lp(cone_lp)
-        assert value == pytest.approx(-0.5, abs=1e-7)
-        prices = dual @ cone_lp.lp.a[:, : len(cone_lp.u_columns)]
+        result = lower_bound_lp(two_face_witness(), 2)
+        assert result.value == pytest.approx(-0.5, abs=1e-7)
+        prices = result.certificate["dual"] @ dense_u_block(6, 2)[0]
         assert np.all(prices >= -1e-8)
         ones = homogenize(constant(1.0, 6), 2)
         price_of_one = 0.0
@@ -469,6 +482,57 @@ class TestCertificates:
         assert "maximize c" in text
         row_lines = [line for line in text.splitlines() if line.startswith("[")]
         assert len(row_lines) == len(cone_lp.rows)
+
+
+# dump's text as the dense-A listing printed it, before dump wrote each row
+# by a transpose sweep: in full for the three-face witness at s=2, and by
+# sha256 for more shapes, a dense cubic and d=1 among them
+LISTING_D3_S2 = """\
+cone membership LP  d=3  s=2
+rows=6  columns=7  (non-negative u columns + free c)
+objective: maximize c
+[t1^2]  +1*u[2, 0, 0] -1*u[1, 0, 1] +1*u[0, 0, 2] = 1
+[t1^1t2^1]  +1*u[1, 1, 0] -1*u[1, 0, 1] -1*u[0, 1, 1] +2*u[0, 0, 2] = -1
+[t1^1]  +1*u[1, 0, 1] -2*u[0, 0, 2] = 0
+[t2^2]  +1*u[0, 2, 0] -1*u[0, 1, 1] +1*u[0, 0, 2] = 1
+[t2^1]  +1*u[0, 1, 1] -2*u[0, 0, 2] = 0
+[1]  +1*u[0, 0, 2] +1*c = 0"""
+
+DENSE_CUBIC = SimplexPolynomial(
+    3, 3, {n: (-1) ** k * (k + 1) / 7 for k, n in enumerate(compositions(3, 3))}
+)
+LISTING_DIGESTS = [
+    (two_face_witness(2), 6, "4ac6a2e93b71c18a8009629e6ac717f12877462fda19b85cf1a1b8a33f5c8136"),
+    (two_face_witness(6), 3, "cce20170a2d1c5666e22fb5e62fd37f20a73e4763c90944aac2d1ff02d63fd50"),
+    (DENSE_CUBIC, 5, "d269a6a3c8662e4eecfb3588356bfac80d1242fa9464289aec540f97b80c2594"),
+    (monomial((2,)), 4, "2ad15654f1918694dcc36f6ec318726770f86804fa5ebb43b0741b8d3d71bc01"),
+    (sum_of_squares(4), 4, "38e7f84a95aa52566095ca656e5deeade0be581114ffed19ccbf781c6c41cf32"),
+    (two_face_witness(3), 7, "d9e5b1909c2f44230fe21afb31fd504e76b0358d9218b3b55828ce29f41d9750"),
+]
+
+
+class TestDump:
+    def test_six_row_listing(self):
+        assert dump(assemble(two_face_witness(3), 2)) == LISTING_D3_S2
+
+    @pytest.mark.parametrize(
+        "g, s, digest",
+        LISTING_DIGESTS,
+        ids=["witness-d2-s6", "witness-d6-s3", "cubic-d3-s5", "d1-s4", "sos-d4-s4", "witness-d3-s7"],
+    )
+    def test_listing_digest(self, g, s, digest):
+        assert hashlib.sha256(dump(assemble(g, s)).encode()).hexdigest() == digest
+
+    def test_refuses_past_the_dense_cap_before_any_sweep(self, monkeypatch):
+        # d=6 s=11 has 4368 rows, the first d=6 length past the cap
+        cone_lp = assemble(two_face_witness(6), 11)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("swept past the cap")
+
+        monkeypatch.setattr(finex.bernstein_lp, "_sweeps", refuse)
+        with pytest.raises(CapacityError, match="N = 4368 rows, over the dense cap 4096"):
+            dump(cone_lp)
 
 
 class TestArgmin:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -201,6 +202,28 @@ class TestBound:
         out = capsys.readouterr().out
         assert "maximize c" in out
         assert "rows=21" in out
+
+    def test_dump_lp_refuses_past_the_dense_cap(self, witness_path, capsys):
+        # the six-face witness at s=12 has N = 6188 rows; the cap is 4096
+        argv = ["bound", "--observable", witness_path, "--s", "12", "--method", "lp", "--dump-lp"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: the cone LP listing has N = 6188 rows, over the dense cap 4096\n"
+        assert peak < 16e6
+
+    def test_dump_lp_prints_at_the_largest_six_face_length_under_the_cap(self, witness_path, capsys):
+        argv = ["bound", "--observable", witness_path, "--s", "10", "--method", "lp", "--dump-lp"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("rows=3003  columns=3004")
+        assert sum(line.startswith("[") for line in lines) == 3003
 
     def test_tolerance_env_override(self, witness_path, capsys, monkeypatch):
         monkeypatch.setenv("FINEX_TOL", "0.5")

@@ -21,7 +21,7 @@ from cone_lp_reference import (
     swept,
 )
 
-from finex.bernstein_lp import _placement, _structural_solve, _sweeps, assemble, lower_bound_lp
+from finex.bernstein_lp import _placement, _solve, _sweeps, assemble, lower_bound_lp
 from finex.multiindex import composition_array, compositions, orbit_sizes, ranks
 from finex.polynomial import SimplexPolynomial, sum_of_squares, two_face_witness
 
@@ -92,7 +92,7 @@ def test_structure_matches_the_column_stack_build(d, s):
         x = np.eye(n, dtype=np.int64)
         block, block_inverse = dense_u_block(d, s)
         assert np.array_equal(block @ block_inverse, x)
-        assert np.array_equal(assemble(SimplexPolynomial(d, 0, {}), s).lp.a[:, :-1], block)
+        assert np.array_equal(swept(d, s, x.astype(float)), block)
     else:
         x = np.random.default_rng(n).integers(-3, 4, size=(n, 6))
     for inverse in (False, True):
@@ -136,10 +136,9 @@ def test_compositions_returns_a_fresh_list():
      (SimplexPolynomial(2, 1, {(1, 0): 1.0}), 3)],
 )
 def test_certificate_u_is_the_nonzero_primal_by_composition(g, s):
-    primal = _structural_solve(assemble(g, s))[1]
-    expected = {
-        n: float(v) for n, v in zip(reference_compositions(s, g.d), primal[:-1]) if abs(v) > 0.0
-    }
-    u = lower_bound_lp(g, s).certificate["u"]
-    assert list(u.items()) == list(expected.items())
-    assert all(type(v) is int for n in u for v in n)
+    # the certificate is the solve's own arrays, u in compositions order
+    _, primal, dual, _, _ = _solve(g.d, s, assemble(g, s).b[:, None])
+    certificate = lower_bound_lp(g, s).certificate
+    assert_bitwise(certificate["u"], primal[:-1, 0])
+    assert_bitwise(certificate["dual"], dual[:, 0])
+    assert certificate["c"] == primal[-1, 0]
