@@ -12,12 +12,14 @@ lifted observable, for a block of observables, one column each
 and the cone LP tests the classical/quantum equivalence instead of
 assuming it.
 
-Dense tensor-space objects (symmetrizer, permutation matrices, dense
-density matrices) are capped at d**s <= 4096.  They check the compressed
-path against literal matrix algebra: the tests run them, and so does
-every `finex verify` invocation (its four dense rows).  The tensor basis
-and each sequence's orbit, which they are built from, are cached per
-(s, d) as read-only arrays; the matrices returned are fresh and writable.
+Dense tensor-space objects (symmetrizer, permutation matrices and their
+relabelling tables, dense density matrices) are capped at d**s <= 4096.
+They check the compressed path against dense matrix algebra: the tests
+run them, and so does every `finex verify` invocation (its four dense
+rows), which applies each permutation as the exact relabelling that
+relabellings lists instead of multiplying by its 0/1 matrix.  The tensor
+basis and each sequence's orbit, which they are built from, are cached
+per (s, d) as read-only arrays; the arrays returned are fresh and writable.
 """
 
 from __future__ import annotations
@@ -167,28 +169,38 @@ class BosonDensityMatrix:
         return self.matrix[np.ix_(idx, idx)] / np.sqrt(np.outer(orb, orb))
 
 
-def permutation_matrices(perms, d: int) -> np.ndarray:
-    """Stack of tensor-factor relabellings, one (d**s, d**s) slice per permutation.
+def relabellings(perms, d: int) -> np.ndarray:
+    """rows[i, j]: the row-major index of sequence j reordered by perms[i].
 
-    Slice i maps e_seq to e_(seq reordered by perms[i]); every permutation
-    has the same length s.  The stack is built with one scatter.
+    Relabelling the tensor factors by perms[i] maps e_j to e_rows[i, j], so
+    this (k, d**s) table is the permutation_matrices stack without its
+    zeros.  Every permutation has the same length s.
     """
     perms = [tuple(perm) for perm in perms]
     if not perms:
-        raise DomainError("permutation_matrices needs at least one permutation")
+        raise DomainError("a relabelling table needs at least one permutation")
     s = len(perms[0])
     if any(len(perm) != s for perm in perms):
-        raise DomainError("permutations of different lengths cannot share a stack")
+        raise DomainError("permutations of different lengths cannot share a table")
     order = np.array(perms)
-    dim = _check_dense(s, d, order)
+    _check_dense(s, d, order)
     for perm in perms:
         if sorted(perm) != list(range(s)):
             raise DomainError(f"{perm} is not a permutation of 0..{s - 1}")
     order = order.astype(np.intp, copy=False)  # np.array([()]) is float
-    # column j is sequence j; its reordering sits at its row-major index
-    rows = d ** np.arange(s - 1, -1, -1) @ _outcomes(s, d)[order]
-    p = np.zeros((len(perms), dim, dim))
-    p[np.arange(len(perms))[:, None], rows, np.arange(dim)] = 1.0
+    return d ** np.arange(s - 1, -1, -1) @ _outcomes(s, d)[order]
+
+
+def permutation_matrices(perms, d: int) -> np.ndarray:
+    """Stack of tensor-factor relabellings, one (d**s, d**s) slice per permutation.
+
+    Slice i maps e_seq to e_(seq reordered by perms[i]): one scatter of
+    relabellings(perms, d).
+    """
+    rows = relabellings(perms, d)
+    k, dim = rows.shape
+    p = np.zeros((k, dim, dim))
+    p[np.arange(k)[:, None], rows, np.arange(dim)] = 1.0
     return p
 
 

@@ -125,6 +125,7 @@ def orbit_sizes(r: int, d: int) -> np.ndarray:
     exact in int64, as are its binomials (built by Pascal's rule from
     smaller ones), and is rounded once.  The rows whose log-multinomial
     says they may not be below 2^63 are computed with Python integers.
+    A multinomial past the float range raises DomainError.
     """
     counts = composition_array(r, d)
     columns = _INT64_BINOMIAL_COLUMNS
@@ -146,7 +147,13 @@ def orbit_sizes(r: int, d: int) -> np.ndarray:
     wide = np.flatnonzero(log_size > _INT64_LOG_LIMIT)
     if len(wide):
         factorials = np.array([math.factorial(k) for k in range(r + 1)], dtype=object)
-        out[wide] = (factorials[r] // np.prod(factorials[counts[wide]], axis=1)).astype(np.float64)
+        try:
+            out[wide] = (factorials[r] // np.prod(factorials[counts[wide]], axis=1)).astype(np.float64)
+        except OverflowError as exc:
+            raise DomainError(
+                f"the orbit sizes of length-{r} sequences over d={d} overflow: "
+                "a multinomial exceeds the float range (about 1.8e308)"
+            ) from exc
     out.setflags(write=False)
     return out
 

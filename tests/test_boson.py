@@ -20,6 +20,7 @@ from finex.boson import (
     permutation_matrices,
     permutation_matrix,
     quantum_bound,
+    relabellings,
     rho_from_exchangeable,
     simplex_minimum,
     symmetrizer,
@@ -218,6 +219,57 @@ class TestDenseArguments:
     def test_domain_error(self, build, args):
         with pytest.raises(DomainError):
             build(*args)
+
+
+# every permutation input TestDenseArguments refuses, as the stack it reaches
+# permutation_matrices with (permutation_matrix passes a stack of one)
+BAD_PERMUTATION_STACKS = {
+    "permutation-negative-d": ([(0, 1)], -1),
+    "permutation-d0": ([(0, 1)], 0),
+    "permutation-float-entry": ([(0.0, 1)], 2),
+    "permutation-bool-entries": ([(True, False)], 2),
+    "permutation-nested-entries": ([((0, 1), (1, 0))], 2),
+    "stack-empty": ([], 2),
+    "stack-mixed-lengths": ([(0, 1), (0,)], 2),
+    "not-a-permutation": ([(0, 0)], 2),
+}
+
+
+class TestRelabellings:
+    """relabellings(perms, d) is the row table that permutation_matrices scatters."""
+
+    @pytest.mark.parametrize("s", range(5))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_each_slice_is_the_scatter_of_its_row(self, d, s):
+        perms = list(permutations(range(s)))  # s = 0: the one empty permutation
+        rows = relabellings(perms, d)
+        stack = permutation_matrices(perms, d)
+        dim = d**s
+        assert rows.shape == (len(perms), dim) and rows.dtype.kind == "i"
+        for row, slice_ in zip(rows, stack):
+            scatter = np.zeros((dim, dim))
+            scatter[row, np.arange(dim)] = 1.0
+            assert slice_.tobytes() == scatter.tobytes()
+
+    @pytest.mark.parametrize("s", range(5))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_index_the_reordered_sequences(self, d, s):
+        perms = list(permutations(range(s)))
+        rows = relabellings(perms, d)
+        for i, perm in enumerate(perms):
+            for j, seq in enumerate(sequences(s, d)):
+                index = 0
+                for t in (seq[perm[a]] for a in range(s)):
+                    index = index * d + t
+                assert rows[i, j] == index
+
+    @pytest.mark.parametrize("build", [relabellings, permutation_matrices])
+    @pytest.mark.parametrize(
+        "perms, d", list(BAD_PERMUTATION_STACKS.values()), ids=list(BAD_PERMUTATION_STACKS)
+    )
+    def test_bad_stacks_are_refused(self, build, perms, d):
+        with pytest.raises(DomainError):
+            build(perms, d)
 
 
 class TestDenseCaches:

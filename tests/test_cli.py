@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finex.cli import main
+from finex.cli import fmt, main
 from finex.errors import SolverFailure
 from finex.exchangeable import from_sequence_probs, to_json as dist_to_json
 from finex.multiindex import (
@@ -261,6 +261,35 @@ class TestBound:
         argv = ["bound", "--observable", witness_path, "--s", "2", "--tol", "0"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["agreement_tolerance"] == 0.0
+
+
+class TestOrbitSizesPastTheFloatRange:
+    """On the d=2 witness the multinomial C(s, s/2) passes the float range at s = 1030."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--observable", "{witness}", "--s", "1100", "--method", "oracle"],
+            ["bound", "--observable", "{witness}", "--s", "1100", "--method", "lp"],
+            ["curve", "--observable", "{witness}", "--s-min", "1029", "--s-max", "1030"],
+        ],
+        ids=["oracle", "lp", "curve"],
+    )
+    def test_exits_2_with_one_error_line(self, argv, witness2_path, capsys):
+        assert main([arg.format(witness=witness2_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: the orbit sizes of length-")
+        assert "over d=2" in lines[0] and "float range" in lines[0]
+
+    def test_the_boson_route_still_answers(self, witness2_path, capsys):
+        argv = ["bound", "--observable", witness2_path, "--s", "1100", "--method", "boson"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # at the Fock state (550, 550): (2 * 550 * 549 - 550 * 550) / (1100 * 1099)
+        value = float(fmt(301400 / 1208900))
+        assert doc["bounds"] == [{"method": "boson", "value": value, "argmin": [550, 550]}]
 
 
 class TestCurve:
@@ -631,6 +660,67 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 7
+
+    @pytest.mark.parametrize("seed", [5, 7, 17, 123456])  # seed 0: the test above
+    def test_injected_perturbation_fails_only_the_projector_row(self, seed, capsys):
+        assert main(["verify", "--seed", str(seed), "--inject-perturbation"]) == 1
+        out = capsys.readouterr().out
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["symmetrizer-projector"]
+        assert out.count("PASS") == 6
+
+    # 00...0 and 00...1 lie in different orbits; every permutation fixes 00...0,
+    # so pi P sees the entry at (0, 1) and P pi the one at (1, 0), each only there
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)], ids=["column-side", "row-side"])
+    def test_an_off_orbit_symmetrizer_entry_fails_the_absorption_row(
+        self, entry, capsys, monkeypatch
+    ):
+        from finex import boson
+
+        exact = boson.symmetrizer
+
+        def off_orbit(s, d):
+            pi = exact(s, d)
+            pi[entry] = 1e-3
+            return pi
+
+        monkeypatch.setattr(boson, "symmetrizer", off_orbit)
+        assert main(["verify", "--seed", "0"]) == 1
+        rows = {line.split()[1]: line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("PASS", "FAIL"))}
+        # the entry is compared with a zero orbit-mate entry
+        assert rows["symmetrizer-absorbs-permutations"] == [
+            "FAIL", "symmetrizer-absorbs-permutations", "0.001"
+        ]
+
+    # 00...1 no longer matches its orbit-mates in row 1 (seen by P rho only)
+    # or in column 1 (seen by rho P^T only)
+    @pytest.mark.parametrize("entry", [(1, 0), (0, 1)], ids=["row-side", "column-side"])
+    def test_orbit_mates_that_differ_fail_the_state_row(self, entry, capsys, monkeypatch):
+        from finex import boson
+
+        exact = boson.BosonDensityMatrix.dense
+
+        def split_orbit(self):
+            dense = exact(self)
+            dense[entry] += 1e-3
+            return dense
+
+        monkeypatch.setattr(boson.BosonDensityMatrix, "dense", split_orbit)
+        assert main(["verify", "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["state-index-symmetry"]
+
+    def test_no_dense_permutation_matrix_is_built(self, capsys, monkeypatch):
+        from finex import boson
+
+        def refuse(perms, d):
+            raise AssertionError("verify built a dense permutation stack")
+
+        monkeypatch.setattr(boson, "permutation_matrices", refuse)
+        assert main(["verify", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 7
 
     def test_deterministic_output(self, capsys):
         main(["verify", "--seed", "3"])

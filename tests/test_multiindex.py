@@ -157,6 +157,13 @@ def test_orbit_sizes_round_like_float_division():
         assert (1.0 / sizes).tolist() == [1.0 / x for x in exact]
 
 
+def test_orbit_sizes_past_the_float_range_are_a_domain_error():
+    # at d = 2 the middle multinomial C(s, s/2) passes 1.8e308 between s = 1029 and 1030
+    assert np.isfinite(orbit_sizes(1029, 2)).all()
+    with pytest.raises(DomainError, match="length-1030 sequences over d=2 .* float range"):
+        orbit_sizes(1030, 2)
+
+
 def test_scatter_by_rank():
     assert scatter_by_rank({(1, 1): 2.5, (0, 2): -1.0}, 2, 2).tolist() == [0.0, 2.5, -1.0]
     assert scatter_by_rank({}, 3, 2).tolist() == [0.0] * 4
