@@ -447,12 +447,23 @@ def _descent_starts(d: int) -> np.ndarray:
     return np.array(starts[:total])
 
 
+def _grid_resolution(d: int) -> int:
+    """The largest r >= 1 with num_compositions(r, d) <= 1e5 points, or 1 if none.
+
+    The count grows with r, so a bisection finds it.
+    """
+    if d == 1:  # the simplex is one point, and every resolution lists it once
+        return 1
+    low, high = 1, 100_000  # high does not fit: num_compositions(r, d) >= r + 1
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if num_compositions(middle, d) <= 100_000 else (low, middle)
+    return low
+
+
 def _grid_minimum(g: SimplexPolynomial) -> float:
     """Minimum over the densest rational grid with at most 1e5 points."""
-    resolution = 1
-    # at d = 1 the simplex is one point, and every resolution lists it once
-    while g.d > 1 and num_compositions(resolution + 1, g.d) <= 100_000:
-        resolution += 1
+    resolution = _grid_resolution(g.d)
     points = composition_array(resolution, g.d) / resolution
     values = np.zeros(len(points))
     for n, c in g.terms.items():

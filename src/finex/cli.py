@@ -9,13 +9,14 @@ outcomes are 0-based.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
+import re
 import sys
-from functools import lru_cache
 from itertools import compress
+from types import SimpleNamespace
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -379,63 +380,222 @@ def cmd_coin_demo() -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="finex",
-        description="Worst-case expectations over finitely exchangeable sequences.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option(NamedTuple):
+    """One --option of a command: type is int, float or str, or bool for a flag."""
 
-    bound = sub.add_parser("bound", help="compute the worst-case bound at one length")
-    bound.add_argument("--observable", required=True, help="polynomial JSON file")
-    bound.add_argument("--s", type=int, required=True, help="sequence length")
-    bound.add_argument(
-        "--method",
-        choices=["oracle", "lp", "boson", "all"],
-        default="all",
-    )
-    bound.add_argument("--format", choices=["json", "csv"], default="json")
-    bound.add_argument("--out", default=None)
-    bound.add_argument("--tol", type=float, default=None)
-    bound.add_argument("--dump-lp", action="store_true", help="print the assembled LP")
-
-    curve = sub.add_parser("curve", help="bound as a function of sequence length")
-    curve.add_argument("--observable", required=True)
-    curve.add_argument("--s-min", type=int, required=True)
-    curve.add_argument("--s-max", type=int, required=True)
-    curve.add_argument("--out", default=None)
-    curve.add_argument(
-        "--lp-cap",
-        type=int,
-        default=DEFAULT_LP_CAP,
-        help="omit the LP column above this length",
-    )
-
-    verify = sub.add_parser("verify", help="run the cross-method verification suite")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol", type=float, default=None)
-    verify.add_argument(
-        "--inject-perturbation",
-        action="store_true",
-        help="deliberately corrupt one check (negative-control test hook)",
-    )
-
-    smp = sub.add_parser("sample", help="draw sequences from a distribution")
-    group = smp.add_mutually_exclusive_group()
-    group.add_argument("--urn", default=None, help="comma-separated ball counts")
-    group.add_argument("--dist", default=None, help="distribution JSON file")
-    smp.add_argument("--n", type=int, required=True)
-    smp.add_argument("--seed", type=int, default=0)
-    smp.add_argument("--out", default=None)
-
-    sub.add_parser("coin-demo", help="the two-coin worked example")
-    return parser
+    type: type = str
+    default: object = None
+    choices: tuple[str, ...] = ()
+    required: bool = False
+    help: str = ""
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built on the first main() call and reused by the later ones."""
-    return build_parser()
+_DESCRIPTION = "Worst-case expectations over finitely exchangeable sequences."
+_HELP = Option(bool, False, help="show this help message and exit")
+_OUT = Option(help="write the output to this file, not stdout")
+_TOL = Option(float, help="agreement tolerance; overrides FINEX_TOL")
+
+# each command's help line and options, in the order --help lists them
+COMMANDS = {
+    "bound": (
+        "compute the worst-case bound at one length",
+        {
+            "observable": Option(required=True, help="polynomial JSON file"),
+            "s": Option(int, required=True, help="sequence length"),
+            "method": Option(
+                default="all", choices=("oracle", "lp", "boson", "all"), help="route to run"
+            ),
+            "format": Option(default="json", choices=("json", "csv"), help="output format"),
+            "out": _OUT,
+            "tol": _TOL,
+            "dump-lp": Option(bool, False, help="print the assembled LP"),
+        },
+    ),
+    "curve": (
+        "bound as a function of sequence length",
+        {
+            "observable": Option(required=True, help="polynomial JSON file"),
+            "s-min": Option(int, required=True, help="first sequence length"),
+            "s-max": Option(int, required=True, help="last sequence length"),
+            "out": _OUT,
+            "lp-cap": Option(int, DEFAULT_LP_CAP, help="omit the LP column above this length"),
+        },
+    ),
+    "verify": (
+        "run the cross-method verification suite",
+        {
+            "seed": Option(int, 0, help="random seed"),
+            "tol": _TOL,
+            "inject-perturbation": Option(
+                bool, False, help="corrupt one check on purpose (a negative control)"
+            ),
+        },
+    ),
+    "sample": (
+        "draw sequences from a distribution",
+        {
+            "urn": Option(help="comma-separated ball counts"),
+            "dist": Option(help="distribution JSON file"),
+            "n": Option(int, required=True, help="number of sequences"),
+            "seed": Option(int, 0, help="random seed"),
+            "out": _OUT,
+        },
+    ),
+    "coin-demo": ("the two-coin worked example", {}),
+}
+
+_METAVARS = {int: "INT", float: "FLOAT", str: "TEXT"}
+# argparse's test for a token that is a negative number, hence not an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _metavar(option: Option) -> str:
+    return "{" + ",".join(option.choices) + "}" if option.choices else _METAVARS[option.type]
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: finex [-h] {" + ",".join(COMMANDS) + "} ..."
+    options = COMMANDS[command][1].items()
+    words = ["usage: finex", command, "[-h]"]
+    words += [f"--{name} {_metavar(o)}" for name, o in options if o.required]
+    if any(not o.required for _, o in options):
+        words.append("[options]")
+    return " ".join(words)
+
+
+def _help_text(command: str | None) -> str:
+    rows = {"-h, --help": _HELP.help}
+    if command is None:
+        text, sections = _DESCRIPTION, {"commands": {n: line for n, (line, _) in COMMANDS.items()}}
+    else:
+        text, options = COMMANDS[command]
+        sections = {}
+        for name, o in options.items():
+            label = f"--{name}" if o.type is bool else f"--{name} {_metavar(o)}"
+            if o.required:
+                note = "required"
+            else:
+                note = "" if o.default is None or o.type is bool else f"default: {o.default}"
+            rows[label] = f"{o.help} ({note})" if o.help and note else o.help or note
+    sections["options"] = rows
+    width = max(len(label) for section in sections.values() for label in section) + 2
+    lines = [_usage(command), "", text]
+    for heading, section in sections.items():
+        lines += ["", f"{heading}:"]
+        lines += [f"  {label:<{width}}{row}" for label, row in section.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _print_help(command: str | None) -> NoReturn:
+    sys.stdout.write(_help_text(command))
+    raise SystemExit(EXIT_OK)
+
+
+def _usage_error(command: str | None, message: str) -> NoReturn:
+    prog = "finex" if command is None else f"finex {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _option(command: str | None, token: str) -> tuple[str | None, str | None] | None:
+    """argparse's reading of token: None for a positional, else (option, text after '=').
+
+    The option is None when it is unknown, and the text None without '='.
+    "-h" is --help, and "-h" with more after it is --help given that text.  A
+    long option is its name or the unique prefix of one (--help included);
+    an ambiguous prefix is a usage error.  "-", "--", a negative number and,
+    unless it names an option, a token with a space are positionals.
+    """
+    if not token.startswith("-") or token in ("-", "--"):
+        return None
+    if not token.startswith("--"):
+        if token.startswith("-h"):
+            return "help", None if token == "-h" else token[2:].removeprefix("=")
+        return None if " " in token or _NEGATIVE_NUMBER.match(token) else (None, None)
+    key, equals, text = token[2:].partition("=")
+    names = ["help", *COMMANDS[command][1]] if command else ["help"]
+    matches = [key] if key in names else [name for name in names if name.startswith(key)]
+    if len(matches) > 1:
+        found = ", ".join(f"--{name}" for name in matches)
+        _usage_error(command, f"ambiguous option: {token} could match {found}")
+    if matches:
+        return matches[0], text if equals else None
+    return None if " " in token else (None, None)
+
+
+def _parse(argv) -> SimpleNamespace:
+    """argv read by the COMMANDS table; -h/--help exits 0, a usage error exits 2.
+
+    Options are long, given as --opt value or --opt=value, and the last
+    occurrence wins.  A value is always the next token, even one that
+    begins with '-'.  Otherwise the parse follows argparse: -h/--help
+    prints the help as soon as it is read, an unknown token is reported
+    only when no -h/--help follows it, an ambiguous prefix before '--' is
+    an error even after -h/--help, and every token after '--' is unknown.
+    """
+    tokens, unknown = iter(argv), []
+    for token in tokens:  # before the command, -h/--help is the only option
+        found = _option(None, token)
+        if found is None:
+            command = token
+            break
+        if found[0] == "help":
+            if found[1] is not None:
+                _usage_error(None, f"argument -h/--help: ignored explicit argument {found[1]!r}")
+            _print_help(None)
+        unknown.append(token)
+    else:
+        _usage_error(None, "the following arguments are required: command")
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+
+    options = COMMANDS[command][1]
+    values = {name: option.default for name, option in options.items()}
+    given, helped = set(), False
+    for token in tokens:
+        if token == "--":
+            unknown += [token, *tokens]
+            break
+        name, text = _option(command, token) or (None, None)
+        if name is None:
+            unknown.append(token)
+            continue
+        option = options.get(name, _HELP)
+        if option.type is bool:
+            value, error = True, text is not None and f"ignored explicit argument {text!r}"
+        else:
+            value = next(tokens, None) if text is None else text
+            error = value is None and "expected one argument"
+        if helped:  # after -h/--help only an ambiguous prefix is an error
+            continue
+        label = "-h/--help" if name == "help" else f"--{name}"
+        if error:
+            _usage_error(command, f"argument {label}: {error}")
+        if name == "help":
+            helped = True
+            continue
+        if option.type in (int, float):
+            try:
+                value = option.type(value)
+            except ValueError:
+                error = f"invalid {option.type.__name__} value: {value!r}"
+                _usage_error(command, f"argument {label}: {error}")
+        if option.choices and value not in option.choices:
+            choices = ", ".join(map(repr, option.choices))
+            error = f"invalid choice: {value!r} (choose from {choices})"
+            _usage_error(command, f"argument {label}: {error}")
+        values[name] = value
+        given.add(name)
+    if helped:
+        _print_help(command)
+    missing = [f"--{name}" for name, o in options.items() if o.required and name not in given]
+    if missing:
+        _usage_error(command, "the following arguments are required: " + ", ".join(missing))
+    if unknown:
+        _usage_error(command, "unrecognized arguments: " + " ".join(unknown))
+    return SimpleNamespace(command=command, **{k.replace("-", "_"): v for k, v in values.items()})
 
 
 def _run(args) -> int:
@@ -482,7 +642,7 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 

@@ -224,7 +224,9 @@ def oracle_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray
     making the certificate deterministic.
     """
     block.check_length(s)
-    values = lift_block(block, s) / orbit_sizes(s, block.d)[:, None]
+    # first: where the lift's multinomials overflow these do, and the error names length s
+    sizes = orbit_sizes(s, block.d)
+    values = lift_block(block, s) / sizes[:, None]
     rows = np.argmin(values, axis=0)  # the first minimum: the earlier composition wins ties
     return values[rows, np.arange(block.size)], rows
 

@@ -65,6 +65,10 @@ def _composition_array(r: int, d: int) -> np.ndarray:
     """The rows with leading entry v = r, ..., 0, each block over the cached (r - v, d - 1) rows."""
     if d == 1:
         out = np.full((1, 1), r, dtype=np.int64)
+    elif d == 2:  # (r, 0), ..., (0, r) directly: no r + 1 cached one-row tails
+        out = np.empty((r + 1, 2), dtype=np.int64)
+        out[:, 1] = np.arange(r + 1)
+        out[:, 0] = out[::-1, 1]
     else:
         tails = [_composition_array(r - v, d - 1) for v in range(r, -1, -1)]
         lengths = [len(tail) for tail in tails]

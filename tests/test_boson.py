@@ -11,6 +11,7 @@ import pytest
 from finex.boson import (
     BosonDensityMatrix,
     _falling_factorials,
+    _grid_resolution,
     _outcomes,
     _sequence_orbits,
     OccupationBasis,
@@ -35,6 +36,7 @@ from finex.exchangeable import (
 )
 from finex.multiindex import (
     compositions,
+    num_compositions,
     orbit_size,
     sequence_to_counts,
     sequences,
@@ -672,6 +674,13 @@ class TestSimplexMinimum:
 
     def test_linear_corner(self):
         assert simplex_minimum(monomial((1, 0))) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 446, 447, 1000])
+    def test_grid_resolution_is_the_densest_grid_under_1e5_points(self, d):
+        resolution = 1  # the linear scan the bisection replaced
+        while d > 1 and num_compositions(resolution + 1, d) <= 100_000:
+            resolution += 1
+        assert _grid_resolution(d) == resolution
 
     def test_random_quadratics_match_fine_grid(self):
         rng = np.random.default_rng(44)

@@ -241,12 +241,12 @@ class TestBound:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
     def test_bad_tolerance_flag_exits_2(self, witness_path, capsys, value):
-        # --tol=VALUE: argparse would read a bare -inf as an option
-        argv = ["bound", "--observable", witness_path, "--s", "2", f"--tol={value}"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: --tol must be a finite number >= 0")
+        for tol in ([f"--tol={value}"], ["--tol", value]):  # a bare -inf is --tol's value
+            argv = ["bound", "--observable", witness_path, "--s", "2", *tol]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --tol must be a finite number >= 0")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
     def test_bad_tolerance_env_exits_2(self, witness_path, capsys, monkeypatch, value):
@@ -267,20 +267,21 @@ class TestOrbitSizesPastTheFloatRange:
     """On the d=2 witness the multinomial C(s, s/2) passes the float range at s = 1030."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, length",
         [
-            ["bound", "--observable", "{witness}", "--s", "1100", "--method", "oracle"],
-            ["bound", "--observable", "{witness}", "--s", "1100", "--method", "lp"],
-            ["curve", "--observable", "{witness}", "--s-min", "1029", "--s-max", "1030"],
+            (["bound", "--observable", "{witness}", "--s", "1100", "--method", "oracle"], 1100),
+            (["bound", "--observable", "{witness}", "--s", "1100", "--method", "lp"], 1100),
+            (["curve", "--observable", "{witness}", "--s-min", "1029", "--s-max", "1030"], 1030),
         ],
         ids=["oracle", "lp", "curve"],
     )
-    def test_exits_2_with_one_error_line(self, argv, witness2_path, capsys):
+    def test_exits_2_with_one_error_line(self, argv, length, witness2_path, capsys):
         assert main([arg.format(witness=witness2_path) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: the orbit sizes of length-")
+        # the length asked for, not the lift's length s - deg(g)
+        assert len(lines) == 1 and lines[0].startswith(f"error: the orbit sizes of length-{length} ")
         assert "over d=2" in lines[0] and "float range" in lines[0]
 
     def test_the_boson_route_still_answers(self, witness2_path, capsys):
@@ -996,7 +997,7 @@ class TestUsage:
 
 
 class TestParserReuse:
-    """main() builds its parser on the first call and reuses it after."""
+    """main() prints the same in one process, call after call, as in fresh processes."""
 
     SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -1011,23 +1012,16 @@ class TestParserReuse:
     def test_one_process_prints_what_fresh_processes_print(
         self, witness_path, capsys, monkeypatch
     ):
-        monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal's width
+        monkeypatch.setenv("COLUMNS", "80")  # as in fresh(); the help text is never wrapped
         calls = [
             ["bound", "--observable", witness_path],  # no --s: a usage error
             ["verify", "--seed", "0"],
             ["--help"],
             ["--help"],
+            ["curve", "--help"],
         ]
         for argv in calls:
             code = main(argv)
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == self.fresh(argv), argv
         assert main(calls[0]) == 2
-
-    def test_importing_the_cli_builds_no_parser(self):
-        code = "import finex.cli as cli; print(cli._parser.cache_info().currsize)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=self.SRC), capture_output=True, text=True, timeout=60,
-        )
-        assert proc.stdout == "0\n", proc.stderr

@@ -10,6 +10,11 @@ transposes; each sweep must reproduce, exactly, B from the column-stack
 triplets the LP once cached (reference_structure).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from cone_lp_reference import (
@@ -44,6 +49,32 @@ def test_composition_tables_match_the_recursive_tuples(d):
         listed = compositions(r, d)
         assert listed == list(reference_compositions(r, d))
         assert all(type(v) is int for v in listed[-1])
+
+
+def test_two_face_tables_match_the_recursive_build():
+    """d = 2 is built directly, not from r + 1 cached one-row tails; the rows are the same."""
+    for r in range(201):
+        assert_bitwise(composition_array(r, 2), reference_composition_array(r, 2))
+    r = 99_999  # the d = 2 grid of boson.simplex_minimum
+    rows = np.array([(v, r - v) for v in range(r, -1, -1)], dtype=np.int64)
+    assert_bitwise(composition_array(r, 2), rows)
+    assert not composition_array(r, 2).flags.writeable
+
+
+def test_the_two_face_grid_caches_at_most_three_tables():
+    code = (
+        "from finex import boson, multiindex\n"
+        "from finex.polynomial import two_face_witness\n"
+        "boson._grid_minimum(two_face_witness(2))\n"
+        "print(multiindex._composition_array.cache_info().currsize)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 3
 
 
 @pytest.mark.parametrize("d", range(1, 8))
