@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, DENSE_CAP
-from .errors import CapacityError, DomainError, SolverFailure
+from .errors import CapacityError, DomainError
 from .exchangeable import BoundResult, ExchangeableDistribution
 from .multiindex import (
     CountVector,
@@ -431,22 +431,6 @@ def _project_to_simplex(x: np.ndarray) -> np.ndarray:
     return np.maximum(x - tau, 0.0)
 
 
-def _descent_starts(d: int) -> np.ndarray:
-    """64 starts: corners, edge midpoints, barycenter, then seeded random fill."""
-    total = 64
-    starts = [np.eye(d)[i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            mid = np.zeros(d)
-            mid[i] = mid[j] = 0.5
-            starts.append(mid)
-    starts.append(np.full(d, 1.0 / d))
-    rng = np.random.default_rng(0)  # fixed stream: the routine is deterministic
-    while len(starts) < total:
-        starts.append(rng.dirichlet(np.ones(d)))
-    return np.array(starts[:total])
-
-
 def _grid_resolution(d: int) -> int:
     """The largest r >= 1 with num_compositions(r, d) <= 1e5 points, or 1 if none.
 
@@ -461,8 +445,8 @@ def _grid_resolution(d: int) -> int:
     return low
 
 
-def _grid_minimum(g: SimplexPolynomial) -> float:
-    """Minimum over the densest rational grid with at most 1e5 points."""
+def _grid_argmin(g: SimplexPolynomial) -> np.ndarray:
+    """The first minimizing point, in composition order, of the densest grid under 1e5 points."""
     resolution = _grid_resolution(g.d)
     points = composition_array(resolution, g.d) / resolution
     values = np.zeros(len(points))
@@ -472,42 +456,35 @@ def _grid_minimum(g: SimplexPolynomial) -> float:
             if e:
                 term *= points[:, i] ** e
         values += term
-    return float(values.min())
+    return points[values.argmin()]
 
 
 def simplex_minimum(g: SimplexPolynomial) -> float:
     """Minimum of g over the probability simplex (the iid-mixture limit).
 
-    Multistart projected gradient descent with backtracking, verified
-    against a deterministic grid scan of roughly 1e5 simplex points: the
-    descent result must not exceed the grid minimum by more than
-    DEFAULT_TOLERANCES.grid_slack, otherwise the routine failed and says so.
+    Projected gradient descent with backtracking, from the best point of a
+    deterministic grid of roughly 1e5 simplex points.  A step is taken only
+    if it strictly lowers the value, so the result never lies above the
+    grid's.  The descent runs on g times 2**-e, which brings the largest
+    |coefficient| into [1/2, 1); the scaling is exact, so the fixed step
+    floor means the same at every scale, and the value is scaled back.
     """
-    best = np.inf
-    for start in _descent_starts(g.d):
-        x = start.copy()
-        step = 1.0
-        value = evaluate(g, x)
-        for _ in range(500):
-            grad = np.array(gradient(g, x))
-            moved = False
-            while step > 1e-14:
-                candidate = _project_to_simplex(x - step * grad)
-                candidate_value = evaluate(g, candidate)
-                if candidate_value < value - 1e-15:
-                    x, value = candidate, candidate_value
-                    moved = True
-                    step *= 1.5
-                    break
-                step *= 0.5
-            if not moved:
+    e = math.frexp(max(map(abs, g.terms.values()), default=0.0))[1]
+    terms = {n: math.ldexp(c, -e) for n, c in g.terms.items()}
+    g = SimplexPolynomial._checked(g.d, g.degree, terms, np.ldexp(g.coefficient_vector, -e))
+    x = _grid_argmin(g)
+    value = evaluate(g, x)
+    step = 1.0
+    for _ in range(500):
+        grad = np.array(gradient(g, x))
+        while step > 1e-14:
+            candidate = _project_to_simplex(x - step * grad)
+            candidate_value = evaluate(g, candidate)
+            if candidate_value < value:
+                x, value = candidate, candidate_value
+                step *= 1.5
                 break
-        best = min(best, value)
-
-    grid = _grid_minimum(g)
-    slack = DEFAULT_TOLERANCES.grid_slack
-    if best > grid + slack:
-        raise SolverFailure(
-            "descent missed the grid minimum", {"descent": best, "grid": grid, "slack": slack}
-        )
-    return float(best)
+            step *= 0.5
+        else:
+            break
+    return math.ldexp(value, e)

@@ -7,9 +7,9 @@ record.  The defaults are the contract values quoted in error messages and
 enforced by the test suite.  The one override is the agreement tolerance,
 which `--tol` or FINEX_TOL replace for a command.  A few fixed thresholds
 live beside their code instead: `verify`'s dense-row bounds (1e-12, and
-1e-10 for state-index symmetry), the simplex descent's 1e-15 improvement
-and 1e-14 step floor (boson.simplex_minimum), and `coin-demo`'s 1e-12
-check of the witness value.  The eigensolver has no iteration knob:
+1e-10 for state-index symmetry), the simplex descent's 1e-14 step floor
+(boson.simplex_minimum, which reads no tolerance), and `coin-demo`'s
+1e-12 check of the witness value.  The eigensolver has no iteration knob:
 LAPACK runs its own iteration, and finex bounds only the input's
 Hermiticity and the result's residual.  DENSE_CAP bounds every dense
 object finex writes: the d**s tensor space of the boson checks and the
@@ -45,7 +45,6 @@ class Tolerances:
 
     # cross-method verification
     method_agreement: float = 1e-7
-    grid_slack: float = 1e-6
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -26,8 +26,8 @@ from .multiindex import (
     CountVector,
     Sequence,
     compositions,
+    iter_orbit_sequences,
     num_compositions,
-    orbit_sequences,
     orbit_size,
     orbit_sizes,
     require_int,
@@ -137,13 +137,11 @@ def from_sequence_probs(
         by_orbit.setdefault(n, {})[seq] = p
 
     orbit_probs: dict[CountVector, float] = {}
-    for n, members in by_orbit.items():
-        size = orbit_size(n)
-        values = dict(members)
-        if len(values) < size:
-            # sequences never mentioned carry probability zero
-            for seq in orbit_sequences(n):
-                values.setdefault(seq, 0.0)
+    for n, values in by_orbit.items():
+        if len(values) < orbit_size(n):
+            # sequences never mentioned carry probability zero, so the first
+            # of them in lexicographic order stands for them all
+            values[next(seq for seq in iter_orbit_sequences(n) if seq not in values)] = 0.0
         lo_seq = min(values, key=lambda s: values[s])
         hi_seq = max(values, key=lambda s: values[s])
         if values[hi_seq] - values[lo_seq] > tol.symmetry_check:

@@ -22,6 +22,7 @@ a caller that reads tuples pays for them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -269,21 +270,23 @@ def sequences(r: int, d: int) -> list[Sequence]:
     return out
 
 
-def orbit_sequences(n: CountVector) -> list[Sequence]:
-    """All distinct orderings of the multiset described by n."""
+def iter_orbit_sequences(n: CountVector) -> Iterator[Sequence]:
+    """The distinct orderings of the multiset described by n, lazily, in lexicographic order."""
     validate_counts(n)
-    d = len(n)
-    out: list[Sequence] = []
+    left = list(n)
 
-    def extend(prefix: tuple[int, ...], left: list[int]) -> None:
-        if sum(left) == 0:
-            out.append(prefix)
-            return
-        for t in range(d):
-            if left[t] > 0:
+    def extend(prefix: tuple[int, ...]) -> Iterator[Sequence]:
+        if not any(left):
+            yield prefix
+        for t, k in enumerate(left):
+            if k:
                 left[t] -= 1
-                extend(prefix + (t,), left)
+                yield from extend(prefix + (t,))
                 left[t] += 1
 
-    extend((), list(n))
-    return out
+    return extend(())
+
+
+def orbit_sequences(n: CountVector) -> list[Sequence]:
+    """All distinct orderings of the multiset described by n."""
+    return list(iter_orbit_sequences(n))

@@ -5,6 +5,8 @@ purely by enumerating orderings of urn multisets, never through orbit
 probabilities, lifting, or the hypergeometric marginal formula.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,18 @@ class TestFromSequenceProbs:
         probs = {(0, 0): 0.5, (0, 1): 0.5}
         with pytest.raises(ExchangeabilityError):
             from_sequence_probs(probs, 2, 2)
+
+    def test_one_listed_sequence_of_a_huge_orbit_is_rejected_at_once(self):
+        # C(40, 20) ~ 1.4e11 orderings: the check stops at the first one missing
+        listed = (0,) * 20 + (1,) * 20
+        missing = (0,) * 19 + (1, 0) + (1,) * 19
+        start = time.perf_counter()
+        with pytest.raises(ExchangeabilityError) as caught:
+            from_sequence_probs({listed: 1.0}, 2, 40)
+        assert time.perf_counter() - start < 0.1
+        assert str(caught.value) == (
+            f"not exchangeable: P{listed} = 1.0 but P{missing} = 0.0 (same orbit (20, 20))"
+        )
 
     def test_negative_probability_rejected(self):
         with pytest.raises(DomainError):

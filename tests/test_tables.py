@@ -65,7 +65,7 @@ def test_the_two_face_grid_caches_at_most_three_tables():
     code = (
         "from finex import boson, multiindex\n"
         "from finex.polynomial import two_face_witness\n"
-        "boson._grid_minimum(two_face_witness(2))\n"
+        "boson._grid_argmin(two_face_witness(2))\n"
         "print(multiindex._composition_array.cache_info().currsize)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
