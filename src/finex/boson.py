@@ -38,6 +38,9 @@ from .multiindex import (
     CountVector,
     composition_array,
     compositions,
+    count_vector,
+    json_document,
+    json_number,
     num_compositions,
     orbit_sizes,
     rank,
@@ -115,10 +118,7 @@ class OccupationBasis:
         return len(self.elements)
 
     def index(self, n: CountVector) -> int:
-        n = tuple(n)
-        if len(n) != self.d or sum(n) != self.s:
-            raise DomainError(f"count vector {n} does not have degree {self.s} over d={self.d}")
-        return rank(n)
+        return rank(count_vector(n, self.s, self.d, "count vector"))
 
     def dense_isometry(self) -> np.ndarray:
         """V with columns (1/sqrt(orbit)) * sum of the orbit's basis vectors."""
@@ -376,28 +376,15 @@ def to_json(rho: BosonDensityMatrix) -> str:
 
 
 def _matrix_entry(entry) -> complex:
-    # type(), not isinstance: JSON true and false arrive as bool, an int subclass
-    if (
-        not isinstance(entry, list)
-        or len(entry) != 2
-        or any(type(part) not in (int, float) for part in entry)
-    ):
+    if not isinstance(entry, list) or len(entry) != 2:
         raise DomainError(f"matrix entry {entry!r} must be a pair [re, im] of numbers")
-    try:
-        return complex(float(entry[0]), float(entry[1]))
-    except OverflowError as exc:
-        raise DomainError(f"matrix entry {entry!r} exceeds the float range") from exc
+    parts = zip(entry, ("re", "im"))
+    return complex(*(json_number(v, f"matrix entry {entry!r}: {part}") for v, part in parts))
 
 
-def from_json(text: str) -> BosonDensityMatrix:
+def from_json(text: str | bytes) -> BosonDensityMatrix:
     """Parse the JSON density-matrix format; validates PSD and unit trace."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid JSON: {exc}") from exc
-    for key in ("d", "s", "matrix"):
-        if not isinstance(doc, dict) or key not in doc:
-            raise DomainError('density-matrix JSON must carry "d", "s", "matrix"')
+    doc = json_document(text, "density-matrix", ("d", "s", "matrix"))
     d = require_int(doc["d"], "d", 1)
     s = require_int(doc["s"], "s", 0)
     raw = doc["matrix"]

@@ -79,13 +79,17 @@ def _agreement_tolerance(flag_value: float | None) -> float:
     return tol
 
 
-def _load_observable(path: str) -> SimplexPolynomial:
+def _read(path: str, what: str) -> bytes:
+    """The bytes of an input file; the JSON readers decode them."""
     try:
-        with open(path) as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            return handle.read()
     except OSError as exc:
-        raise DomainError(f"cannot read observable file {path}: {exc}") from exc
-    return polynomial_from_json(text)
+        raise DomainError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _load_observable(path: str) -> SimplexPolynomial:
+    return polynomial_from_json(_read(path, "observable"))
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -333,11 +337,7 @@ def cmd_sample(args) -> int:
             raise DomainError(f"bad urn composition {args.urn!r}") from exc
         dist = urn_distribution(counts)
     else:
-        try:
-            with open(args.dist) as handle:
-                dist = distribution_from_json(handle.read())
-        except OSError as exc:
-            raise DomainError(f"cannot read distribution file: {exc}") from exc
+        dist = distribution_from_json(_read(args.dist, "distribution"))
     draws = sample_sequences(dist, args.n, args.seed)
     lines = [",".join(str(t + 1) for t in seq) for seq in draws]
     _write_output("\n".join(lines) + ("\n" if lines else ""), args.out)
@@ -662,10 +662,12 @@ def main(argv=None) -> int:
     except (DomainError, FinexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:
-        # a size past what the machine holds is an input error, not a failed check
+    except (MemoryError, RecursionError) as exc:
+        # a size past what the machine, or the interpreter's stack, holds is an
+        # input error, not a failed check (d >= 330 outruns the composition tables)
+        what = "memory" if isinstance(exc, MemoryError) else "recursion depth"
         detail = f": {exc}" if str(exc) else ""
-        print(f"error: out of memory{detail}", file=sys.stderr)
+        print(f"error: out of {what}{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -26,7 +26,10 @@ from .multiindex import (
     CountVector,
     Sequence,
     compositions,
+    count_vector,
     iter_orbit_sequences,
+    json_counts,
+    json_document,
     num_compositions,
     orbit_size,
     orbit_sizes,
@@ -63,12 +66,7 @@ class ExchangeableDistribution:
         cleaned = {}
         total = 0.0
         for n, p in self.orbit_probs.items():
-            n = tuple(n)
-            validate_counts(n)
-            if len(n) != self.d or sum(n) != self.r:
-                raise DomainError(
-                    f"orbit {n} does not have degree {self.r} over d={self.d}"
-                )
+            n = count_vector(n, self.r, self.d, "orbit")
             p = float(p)
             if not math.isfinite(p):
                 raise DomainError(f"orbit probability {p} at {n} is not finite")
@@ -84,11 +82,7 @@ class ExchangeableDistribution:
         object.__setattr__(self, "orbit_probs", cleaned)
 
     def orbit_probability(self, n: CountVector) -> float:
-        n = tuple(n)
-        validate_counts(n)
-        if len(n) != self.d or sum(n) != self.r:
-            raise DomainError(f"orbit {n} does not have degree {self.r} over d={self.d}")
-        return self.orbit_probs.get(n, 0.0)
+        return self.orbit_probs.get(count_vector(n, self.r, self.d, "orbit"), 0.0)
 
     def sequence_probability(self, seq: Sequence) -> float:
         if len(seq) != self.r:
@@ -285,33 +279,9 @@ def to_json(dist: ExchangeableDistribution) -> str:
     return json.dumps({"d": int(dist.d), "r": int(dist.r), "orbits": orbits})
 
 
-def from_json(text: str) -> ExchangeableDistribution:
+def from_json(text: str | bytes) -> ExchangeableDistribution:
     """Parse the JSON distribution format."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid JSON: {exc}") from exc
-    for key in ("d", "r", "orbits"):
-        if not isinstance(doc, dict) or key not in doc:
-            raise DomainError('distribution JSON must be {"d", "r", "orbits"}')
+    doc = json_document(text, "distribution", ("d", "r", "orbits"))
     d = require_int(doc["d"], "d", 1)
     r = require_int(doc["r"], "r", 0)
-    orbits = doc["orbits"]
-    if not isinstance(orbits, list):
-        raise DomainError(f"orbits must be a list, got {orbits!r}")
-    orbit_probs: dict[CountVector, float] = {}
-    for item in orbits:
-        if not isinstance(item, dict) or "counts" not in item or "prob" not in item:
-            raise DomainError(f'orbit {item!r} must be {{"counts": [...], "prob": ...}}')
-        counts, prob = item["counts"], item["prob"]
-        if not isinstance(counts, list) or any(type(v) is not int for v in counts):
-            raise DomainError(f"orbit {item!r}: counts must be a list of integers")
-        if type(prob) not in (int, float):
-            raise DomainError(f"orbit {item!r}: prob must be a number")
-        try:
-            prob = float(prob)
-        except OverflowError as exc:
-            raise DomainError(f"orbit {item!r}: prob exceeds the float range") from exc
-        n = tuple(counts)
-        orbit_probs[n] = orbit_probs.get(n, 0.0) + prob
-    return ExchangeableDistribution(d, r, orbit_probs)
+    return ExchangeableDistribution(d, r, json_counts(doc["orbits"], "orbit", "prob"))

@@ -17,10 +17,15 @@ The arrays are the primary tables: composition_array is built by numpy
 block concatenation and cached read-only, and orbit_sizes is computed
 from it.  The tuple lists of compositions derive from the array, so only
 a caller that reads tuples pays for them.
+
+The input rules live here too, each written once: the integer rule
+(require_int, validate_counts), a count vector's shape (count_vector) and
+the parts the three JSON formats share (json_document, json_number, json_counts).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterator
 from functools import lru_cache
@@ -45,6 +50,62 @@ def validate_counts(n: CountVector) -> None:
     # one pass: is_integer is called only on an entry that is not a plain int
     if any((type(v) is not int and not is_integer(v)) or v < 0 for v in n):
         raise DomainError(f"count vector entries must be non-negative integers: {n}")
+
+
+def count_vector(n, r: int, d: int, label: str) -> CountVector:
+    """n as a tuple if it is a count vector of degree r over d, else DomainError naming label."""
+    n = tuple(n)
+    validate_counts(n)
+    if len(n) != d or sum(n) != r:
+        raise DomainError(f"{label} {n} does not have degree {r} over d={d}")
+    return n
+
+
+def json_document(text: str | bytes, what: str, keys: tuple[str, ...]) -> dict:
+    """The JSON object in text, which must carry every one of keys.
+
+    Every refusal of json.loads is a DomainError "invalid JSON: ...": malformed
+    text, bytes that are not UTF-8 (or UTF-16 or UTF-32), an integer literal
+    past Python's digit limit, nesting past the recursion limit.
+    """
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
+        raise DomainError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or any(key not in doc for key in keys):
+        listed = ", ".join(f'"{key}"' for key in keys)
+        raise DomainError(f"{what} JSON must be an object with the keys {listed}")
+    return doc
+
+
+def json_number(value, what: str) -> float:
+    """value as a float if it is a JSON number within the float range, else DomainError."""
+    # type(), not isinstance: JSON true and false arrive as bool, an int subclass
+    if type(value) not in (int, float):
+        raise DomainError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise DomainError(f"{what} exceeds the float range") from exc
+
+
+def json_counts(items, label: str, key: str) -> dict[CountVector, float]:
+    """The list [{"counts": [...], key: number}, ...] under label + "s" as a map; repeats add up.
+
+    Only the counts' type and sign are checked here: their shape is the record's to check.
+    """
+    if not isinstance(items, list):
+        raise DomainError(f"{label}s must be a list, got {items!r}")
+    out: dict[CountVector, float] = {}
+    for item in items:
+        if not isinstance(item, dict) or "counts" not in item or key not in item:
+            raise DomainError(f'{label} {item!r} must be {{"counts": [...], "{key}": ...}}')
+        counts = item["counts"]
+        if not isinstance(counts, list) or any(type(v) is not int or v < 0 for v in counts):
+            raise DomainError(f"{label} {item!r}: counts must be a list of non-negative integers")
+        n = tuple(counts)
+        out[n] = out.get(n, 0.0) + json_number(item[key], f"{label} {item!r}: {key}")
+    return out
 
 
 def require_int(value, name: str, minimum: int) -> int:

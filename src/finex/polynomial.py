@@ -33,7 +33,10 @@ from .multiindex import (
     CountVector,
     composition_array,
     compositions,
+    count_vector,
     is_integer,
+    json_counts,
+    json_document,
     num_compositions,
     orbit_size,
     orbit_sizes,
@@ -303,15 +306,10 @@ class DiagonalObservable:
     values: dict[CountVector, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        cleaned = {}
-        for n, v in self.values.items():
-            n = tuple(n)
-            validate_counts(n)
-            if len(n) != self.d or sum(n) != self.s:
-                raise DomainError(
-                    f"observable entry {n} does not have degree {self.s} over d={self.d}"
-                )
-            cleaned[n] = float(v)
+        cleaned = {
+            count_vector(n, self.s, self.d, "observable entry"): float(v)
+            for n, v in self.values.items()
+        }
         object.__setattr__(self, "values", cleaned)
 
     def value(self, n: CountVector) -> float:
@@ -337,48 +335,19 @@ def to_json(g: SimplexPolynomial) -> str:
     return json.dumps({"d": int(g.d), "terms": terms})
 
 
-def from_json(text: str) -> SimplexPolynomial:
+def from_json(text: str | bytes) -> SimplexPolynomial:
     """Parse the JSON polynomial format, rejecting non-homogeneous input."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "d" not in doc or "terms" not in doc:
-        raise DomainError('polynomial JSON must be {"d": ..., "terms": [...]}')
+    doc = json_document(text, "polynomial", ("d", "terms"))
     d = require_int(doc["d"], "d", 1)
-    if not isinstance(doc["terms"], list):
-        raise DomainError(f"terms must be a list, got {doc['terms']!r}")
-    terms: dict[CountVector, float] = {}
-    deg = None
-    for item in doc["terms"]:
-        if not isinstance(item, dict) or "counts" not in item or "coeff" not in item:
-            raise DomainError(f'term {item!r} must be {{"counts": [...], "coeff": ...}}')
-        counts = item["counts"]
-        if (
-            not isinstance(counts, list)
-            or len(counts) != d
-            or any(type(v) is not int or v < 0 for v in counts)
-        ):
+    terms = json_counts(doc["terms"], "term", "coeff")
+    degree = sum(next(iter(terms), ()))
+    for n in terms:
+        if sum(n) != degree:
             raise DomainError(
-                f"term {item!r}: counts must be {d} non-negative integers"
-            )
-        # bool is an int subclass and float("1.5") parses, so check the type
-        if type(item["coeff"]) not in (int, float):
-            raise DomainError(f"term {item!r}: coeff must be a number")
-        try:
-            coeff = float(item["coeff"])
-        except OverflowError as exc:
-            raise DomainError(f"term {item!r}: coeff exceeds the float range") from exc
-        n = tuple(counts)
-        if deg is None:
-            deg = sum(n)
-        elif sum(n) != deg:
-            raise DomainError(
-                f"term {item!r} has degree {sum(n)} but earlier terms have degree {deg} "
+                f"term {list(n)} has degree {sum(n)} but earlier terms have degree {degree} "
                 "(terms must be homogeneous)"
             )
-        terms[n] = terms.get(n, 0.0) + coeff
-    return SimplexPolynomial(d, deg if deg is not None else 0, terms)
+    return SimplexPolynomial(d, degree, terms)
 
 
 def two_face_witness(d: int = 6) -> SimplexPolynomial:
