@@ -29,12 +29,17 @@ reduction, not its lift's ((sum theta)^(s-k) reduces to 1), a sweep at
 (d, g.degree).  dump lists B row by row, each row a transpose sweep, and
 refuses past DENSE_CAP rows.  Since A is shared, lp_block solves a block
 of observables of one shape together, one column of b each, and validates
-each column's certificate on its own; lower_bound_lp is a block of one."""
+each column's certificate on its own; lower_bound_lp is a block of one.
+Several lengths are solved as one system too: their count vectors form
+one union, whose sweeps cover every length at once (_Sweeps), and each
+length's values, certificates and residuals come out bitwise as its own
+solve gives them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,14 +53,15 @@ from .multiindex import (
     composition_array,
     compositions,
     head_ranks,
-    num_compositions,
     orbit_sizes,
+    table_rows,
 )
 from .polynomial import (
     PolynomialBlock,
     SimplexPolynomial,
     homogenize,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
     reduce_to_free_vars,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
+    several_lengths,
 )
 from .solvers import (
     certificate_residuals,
@@ -86,16 +92,30 @@ class ConeMembershipLP:
 
 @dataclass(frozen=True)
 class _Sweeps:
-    """The (d, s) index maps of the u-block's Horner sweeps; read-only.
+    """The index maps of the u-block's Horner sweeps at one or more lengths; read-only.
 
-    Level order lists compositions(s, d) by n_d descending, stably, so the
-    count vectors with n_d >= k are the first bounds[k] positions, k <= s.
-    order[t] is the natural index (in compositions(s, d)) at level position
-    t and position[i] the level position of natural index i, with
-    position[N] = N appended for c's row of a primal.  up[i, t] is the level
-    position of n - e_i + e_d for the n at t, down[i, t] that of
-    n + e_i - e_d; either is N, a zero sentinel row, off the simplex.  q is
-    orbit_sizes(s, d) in level order.
+    The lengths' count vectors form one union: compositions(s, d) of each
+    length in turn, segment l holding natural indices a to b, (a, b) =
+    spans[l].  Level order lists the union by n_d descending, stably, so
+    the count vectors with n_d >= k are the first bounds[k] positions, and
+    each segment keeps its own length's level order.  order[t] is the
+    natural index at level position t and position[i] the level position
+    of natural index i, with position[N] = N appended.  up[i, t] is the
+    level position of n - e_i + e_d for the n at t, down[i, t] that of
+    n + e_i - e_d, both in n's segment; either is N, a zero sentinel row,
+    off the simplex.  q is each length's orbit_sizes(s, d), in level order.
+
+    A primal or a reduced cost has the N rows of u, then one row of c per
+    length (N + l for segment l).  natural lists each segment's rows in
+    compositions order, grouped in level order, each followed by its c
+    row; in both, segment l is rows[l], a + l to b + l + 1, and is_c marks
+    the c rows of grouped.  starts holds each a, as a column.  segment
+    picks, for each level position, its segment's row of an L x B array,
+    and vertices is the level position of each segment's (0, ..., 0, s),
+    its constant-monomial row.  With one length these are the maps of that
+    length alone, and segment, vertices and grouped are slices, which
+    select without a copy: its one row of an L x B array broadcasts, its
+    vertex is first in level order and its rows are grouped already.
     """
 
     order: np.ndarray
@@ -104,36 +124,74 @@ class _Sweeps:
     up: np.ndarray
     down: np.ndarray
     q: np.ndarray
+    spans: tuple[tuple[int, int], ...]
+    rows: tuple[slice, ...]
+    starts: np.ndarray
+    natural: np.ndarray
+    grouped: np.ndarray | slice
+    is_c: np.ndarray
+    segment: np.ndarray | slice
+    vertices: np.ndarray | slice
 
 
 @lru_cache(maxsize=None)
-def _sweeps(d: int, s: int) -> _Sweeps:
-    """Build the (d, s) sweep maps of the cone LP; cached, as they never change."""
-    counts = composition_array(s, d)
-    q = orbit_sizes(s, d)
+def _sweeps(d: int, *lengths: int) -> _Sweeps:
+    """Build the sweep maps of the cone LP over d at the lengths; cached, as they never change."""
+    tables = [composition_array(s, d) for s in lengths]
+    q = np.concatenate([orbit_sizes(s, d) for s in lengths])
     if not np.all(q > 0.0):
         raise SolverFailure(
             "cone LP normalization column has a non-positive entry", {"min_q": float(q.min())}
         )
-    n = len(counts)
+    offsets = [0]
+    for table in tables:
+        offsets.append(offsets[-1] + len(table))
+    spans = tuple(zip(offsets, offsets[1:]))
+    counts = tables[0] if len(tables) == 1 else np.concatenate(tables)
+    n, many = len(counts), len(lengths)
     order = np.argsort(-counts[:, -1], kind="stable")
     position = np.empty(n + 1, dtype=np.intp)
     position[order] = np.arange(n)
     position[n] = n
-    heads = counts[order, :-1]
-    levels = np.bincount(counts[:, -1], minlength=s + 1)
+    levels = np.bincount(counts[:, -1], minlength=max(lengths) + 1)
     bounds = tuple(np.cumsum(levels[::-1])[::-1].tolist())
+    moves = []  # (n, i, n - e_i + e_d) for a ball on face i < d, by level position
+    for (a, b), s, table in zip(spans, lengths, tables):
+        moved, faces = np.nonzero(table[:, :-1])
+        shifted = table[moved, :-1]
+        shifted[np.arange(len(moved)), faces] -= 1
+        level = position[a:b]
+        moves.append((level[moved], faces, level[head_ranks(shifted, s)]))
+    moved, faces, targets = (np.concatenate(x) for x in zip(*moves)) if many > 1 else moves[0]
     up = np.full((d - 1, n), n, dtype=np.intp)
     down = up.copy()
-    moved, faces = np.nonzero(heads)  # a ball on face i < d to move to face d
-    shifted = heads[moved]
-    shifted[np.arange(len(moved)), faces] -= 1
-    up[faces, moved] = targets = position[head_ranks(shifted, s)]
+    up[faces, moved] = targets
     down[faces, targets] = moved  # the move back, for every n with n_d >= 1
     q = q[order]
-    for x in (order, position, up, down, q):
+    rows = tuple([slice(a + l, b + l + 1) for l, (a, b) in enumerate(spans)])
+    is_c = np.zeros(n + many, dtype=bool)
+    for r in rows:
+        is_c[r.stop - 1] = True
+    starts = np.array(offsets[:-1])[:, None]
+    indices = [order, position, up, down, q, is_c, starts]
+    if many == 1:  # its rows are grouped already, and its row of an L x B array broadcasts
+        natural, segment, grouped, vertices = position, slice(None), slice(None), slice(0, 1)
+    else:
+        natural = np.empty(n + many, dtype=np.intp)
+        natural[is_c] = n + np.arange(many)
+        natural[~is_c] = position[:n]
+        segment = np.repeat(np.arange(many), [b - a for a, b in spans])[order]
+        grouped = natural.copy()  # the c rows stay; each length's u rows go in level order
+        for l, (a, b) in enumerate(spans):
+            grouped[a + l : b + l] = np.flatnonzero(segment == l)
+        vertices = position[[b - 1 for _, b in spans]]  # last in compositions order
+        indices += [natural, segment, grouped, vertices]
+    for x in indices:
         x.setflags(write=False)
-    return _Sweeps(order, position, bounds, up, down, q)
+    return _Sweeps(
+        order, position, bounds, up, down, q, spans, rows, starts, natural, grouped, is_c,
+        segment, vertices,
+    )
 
 
 def _sweep(maps: _Sweeps, x: np.ndarray, combine, transpose: bool = False) -> np.ndarray:
@@ -145,10 +203,14 @@ def _sweep(maps: _Sweeps, x: np.ndarray, combine, transpose: bool = False) -> np
     before any is written.  An n at level k first changes at step k, so x
     starts as the whole input.  The transposes run the steps in reverse,
     and step k gathers into each n with n_d >= k + 1 its n + e_i - e_d.
+    Over several lengths s runs to the largest; a step k >= s' of a shorter
+    length s' reaches only its (0, ..., 0, s'), whose neighbours are all
+    the sentinel, and adds 0 there (k = s') or nothing.
     """
     neighbours = maps.down if transpose else maps.up
     for m in maps.bounds[1:] if transpose else maps.bounds[-2::-1]:
-        combine(x[:m], x.take(neighbours[:, :m], axis=0).sum(axis=0), out=x[:m])
+        head = x[:m]  # np.add.reduce is ndarray.sum without its Python wrapper
+        combine(head, np.add.reduce(x.take(neighbours[:, :m], axis=0), axis=0), out=head)
     return x
 
 
@@ -166,22 +228,27 @@ def _placement(d: int, k: int, s: int) -> np.ndarray:
 
 # an overflow makes a residual inf or NaN, which the certificate check refuses
 @np.errstate(over="ignore", invalid="ignore")
-def _right_hand_sides(block: PolynomialBlock, s: int) -> np.ndarray:
-    """b for every column of the block at length s, one column each.
+def _right_hand_sides(block: PolynomialBlock, *lengths: int) -> np.ndarray:
+    """b for every column of the block at the lengths, one column each, their rows in turn.
 
-    Each column's b is its reduction (the degree-k sweep for B on its
-    coefficients, k = block.degree), pruned and placed at the rows
-    (e, s - |e|).
+    Each column's b at length s is its reduction (the degree-k sweep for B
+    on its coefficients, k = block.degree), pruned and placed at the rows
+    (e, s - |e|) of compositions(s, d).  The reduction does not depend on
+    s, so it is made once for all the lengths.
     """
-    block.check_length(s)
+    for s in lengths:
+        block.check_length(s)
     d, k = block.d, block.degree
     maps, x = _sweeps(d, k), block.coefficient_matrix
     reduced = np.zeros((len(x) + 1, block.size))
     np.take(x, maps.order, axis=0, out=reduced[:-1])
     _sweep(maps, reduced, np.subtract)
     reduced[np.abs(reduced) < _PRUNE] = 0.0
-    b = np.zeros((num_compositions(s, d), block.size))
-    b[_placement(d, k, s)] = reduced.take(maps.position[:-1], axis=0)
+    reduced = reduced.take(maps.position[:-1], axis=0)
+    sizes = [table_rows(s, d) for s in lengths]
+    b = np.zeros((sum(sizes), block.size))
+    for s, end, size in zip(lengths, accumulate(sizes), sizes):
+        b[end - size : end][_placement(d, k, s)] = reduced
     return b
 
 
@@ -198,26 +265,33 @@ def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as for _right_hand_sides
-def _solve(d: int, s: int, b: np.ndarray) -> tuple[np.ndarray, ...]:
+def _solve(d: int, b: np.ndarray, *lengths: int) -> list[tuple[np.ndarray, ...]]:
     """Optimal primal/dual pair of each column of b from the u-block basis B and one pivot.
 
-    Every product with B, B^-1 or a transpose is a sweep, in level order:
-    b is permuted in and the primal and dual out once.  With B basic,
-    u = p - c q for p = B^-1 b and q = B^-1 e_0 (e_0 is c's column), the
-    multinomial coefficients of (sum theta)^s, all positive.  Entering c,
-    the ratio test makes the column with the smallest p_j / q_j leave, the
-    first in compositions(s, d) order on a tie.  The dual B^T y = e_j / q_j
-    is row j of B^-1 over q_j; it gives every u column a reduced cost <= 0
-    and c exactly 0, so the pivot is optimal.  Each column's pair is
-    validated like any other certificate; A x and y A are summed before b
-    and the objective are subtracted (subtracting b first misses the 1e-8
-    primal contract on coefficients from 1e-6 to 1e12).  The first column
-    outside DEFAULT_TOLERANCES raises DomainError if a residual overflowed,
-    else SolverFailure with its residuals.  Returns (optimal values,
-    primals, duals, residuals, leaving), one column (one entry of each
-    residual array and of leaving, a natural index) per column of b.
+    b holds each length's rows in turn (_right_hand_sides).  Every product
+    with B, B^-1 or a transpose is a sweep over all the lengths at once, in
+    level order (_Sweeps): b is permuted in and the primal and dual out
+    once.  A sweep's steps past a length s touch only its vertex
+    (0, ..., 0, s), whose neighbours are all the zero sentinel, so each
+    entry sees the additions of its own length's solve, in the same order,
+    and comes out bitwise the same.  With B basic, u = p - c q for
+    p = B^-1 b and q = B^-1 e_0 (e_0 is c's column), the multinomial
+    coefficients of (sum theta)^s, all positive.  Entering c, the ratio
+    test makes the column with the smallest p_j / q_j leave, the first in
+    compositions(s, d) order on a tie, at each length.  The dual
+    B^T y = e_j / q_j is row j of B^-1 over q_j; it gives every u column a
+    reduced cost <= 0 and c exactly 0, so the pivot is optimal.  Each
+    column's pair at each length is validated like any other certificate;
+    A x and y A are summed before b and the objective are subtracted
+    (subtracting b first misses the 1e-8 primal contract on coefficients
+    from 1e-6 to 1e12).  The first length, then the first column there,
+    outside DEFAULT_TOLERANCES raises DomainError if a residual
+    overflowed, else SolverFailure with its residuals.  Returns, per
+    length, (optimal values, primals, duals, residuals, leaving), one
+    column (one entry of each residual array and of leaving, a natural
+    index) per column of b.
     """
-    maps = _sweeps(d, s)
+    maps = _sweeps(d, *lengths)
     q = maps.q[:, None]
     m, size = b.shape
     columns = np.arange(size)
@@ -226,44 +300,57 @@ def _solve(d: int, s: int, b: np.ndarray) -> tuple[np.ndarray, ...]:
     p = _sweep(maps, levelled.copy(), np.add)[:m]
 
     ratios = p / q
-    # the ratio test in compositions order, where the first minimum wins a tie
-    first = np.argmin(ratios.take(maps.position[:m], axis=0), axis=0)
-    leaving = maps.position[first]
+    # the ratio test in each length's compositions order, where the first minimum wins a tie
+    in_order = ratios.take(maps.position[:m], axis=0)
+    first = np.array([in_order[a:b].argmin(axis=0) for a, b in maps.spans])
+    leaving = maps.position[first + maps.starts]
     c = ratios[leaving, columns]
-    primal = np.empty((m + 1, size))
-    np.maximum(p - c * q, 0.0, out=primal[:m])
+    primal = np.empty((m + len(lengths), size))  # u, then c at each length
+    np.maximum(p - c[maps.segment] * q, 0.0, out=primal[:m])
     primal[leaving, columns] = 0.0
-    primal[m] = c
+    primal[m:] = c
 
     # the dual of column j is row leaving[j] of B^-1 over q[leaving[j]]
     dual = np.zeros((m, size))
     dual[leaving, columns] = 1.0
     _sweep(maps, dual, np.add, transpose=True)
-    dual /= q[leaving, 0]
+    dual /= maps.q[leaving][maps.segment]
 
-    ax = primal.copy()
-    ax[m] = 0.0
-    _sweep(maps, ax, np.subtract)
-    ax[0] += c  # c's column is the constant-monomial row's unit vector, first in level order
+    gap = primal.copy()
+    gap[m:] = 0.0  # row m is the sentinel
+    _sweep(maps, gap, np.subtract)
+    gap[maps.vertices] += c  # c's column is the constant-monomial row's unit vector
+    gap[:m] -= levelled[:m]  # A x - b
     # y A: B^T y, then y's constant-monomial entry for c's column
-    ya = np.empty((m + 1, size))
+    ya = np.empty((m + len(lengths), size))
     ya[:m] = dual
     _sweep(maps, ya, np.subtract, transpose=True)
-    ya[m] = dual[0]
+    ya[m:] = dual[maps.vertices]
     reduced = -ya
-    reduced[m] += 1.0  # objective - y A: the objective is c
-    is_c = np.arange(m + 1) == m
-    residuals = certificate_residuals(ax[:m] - levelled[:m], reduced, primal, is_c)
-    failed = np.flatnonzero(~within_tolerances(residuals))
+    reduced[m:] += 1.0  # objective - y A: the objective is c
+
+    # each length's rows in its own level order, then its c row, as its own solve has them
+    gap, reduced, grouped = gap[maps.grouped], reduced[maps.grouped], primal[maps.grouped]
+    residuals = [
+        certificate_residuals(gap[r.start : r.stop - 1], reduced[r], grouped[r], maps.is_c[r])
+        for r in maps.rows
+    ]
+    # the first failing length, then column
+    failed = np.flatnonzero(~np.concatenate([within_tolerances(r) for r in residuals]))
     if len(failed):
-        column = _column(residuals, failed[0])
+        l, j = divmod(int(failed[0]), size)
+        column = _column(residuals[l], j)
         if not np.isfinite(list(column.values())).all():
             raise DomainError(
-                f"the cone LP at length s={s} overflows: its certificate exceeds the float range"
+                f"the cone LP at length s={lengths[l]} overflows: "
+                "its certificate exceeds the float range"
             )
         raise SolverFailure(f"cone LP validation failed: residuals {column}", column)
-    primal, dual = primal.take(maps.position, axis=0), dual.take(maps.position[:m], axis=0)
-    return c, primal, dual, residuals, first
+    primal, dual = primal.take(maps.natural, axis=0), dual.take(maps.position[:m], axis=0)
+    return [
+        (c[l], primal[r], dual[a:b], residuals[l], first[l])
+        for l, (r, (a, b)) in enumerate(zip(maps.rows, maps.spans))
+    ]
 
 
 def _column(residuals: dict, j: int) -> dict:
@@ -271,16 +358,20 @@ def _column(residuals: dict, j: int) -> dict:
     return {key: float(value[j]) for key, value in residuals.items()}
 
 
-def lp_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+def lp_block(block: PolynomialBlock, s) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """LP route to the worst-case expectation over length-s sequences, for each column.
 
     Builds every column's b from its reduction and solves them together
     (see _solve); each column's certificate is validated on its own.  It
     neither lifts nor consults another route: comparing the routes is left
     to the commands that compute more than one.  Returns (optimal values,
-    primals, duals, residuals), one column each.
+    primals, duals, residuals), one column each.  Given several lengths
+    (several_lengths), they are solved as one system and the list of those
+    tuples is returned; the first length, then column, that fails raises.
     """
-    return _solve(block.d, s, _right_hand_sides(block, s))[:4]
+    lengths = block.check_lengths(s)
+    out = [x[:4] for x in _solve(block.d, _right_hand_sides(block, *lengths), *lengths)]
+    return out if several_lengths(s) else out[0]
 
 
 def lower_bound_lp(g: SimplexPolynomial, s: int) -> BoundResult:
@@ -297,7 +388,7 @@ def lower_bound_lp(g: SimplexPolynomial, s: int) -> BoundResult:
     neither lifts g nor consults another route: comparing the routes is
     left to the commands that compute more than one.
     """
-    c, primal, dual, residuals, leaving = _solve(g.d, s, assemble(g, s).b[:, None])
+    c, primal, dual, residuals, leaving = _solve(g.d, assemble(g, s).b[:, None], s)[0]
     value = float(c[0])
     return BoundResult(
         value=value,

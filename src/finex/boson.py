@@ -28,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .polynomial import (
     evaluate,
     gradient,
     homogenize,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
+    several_lengths,
 )
 from .solvers import jacobi_eigen, require_hermitian
 
@@ -267,7 +269,30 @@ def _falling_factorials(k: int, s: int) -> np.ndarray:
     return table
 
 
-def boson_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _diagonal_tables(d: int, k: int, *lengths: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The boson diagonal's tables at the lengths, stacked: (keys, table, offsets).
+
+    Rows offsets[l] to offsets[l + 1] are compositions(lengths[l], d), the
+    lengths in turn; table holds each length's _falling_factorials(k, s)
+    side by side, and keys[t, i] is the column of table that reads entry i
+    of row t at its own length.  One length reads its own composition
+    array and table, uncopied.  Read-only.
+    """
+    counts = [composition_array(s, d) for s in lengths]
+    factorials = [_falling_factorials(k, s) for s in lengths]
+    offsets = (0, *accumulate(len(rows) for rows in counts))
+    if len(lengths) == 1:
+        return counts[0], factorials[0], offsets
+    starts = accumulate((s + 1 for s in lengths[:-1]), initial=0)
+    keys = np.concatenate([rows + start for rows, start in zip(counts, starts)])
+    table = np.concatenate(factorials, axis=1)
+    for x in (keys, table):
+        x.setflags(write=False)
+    return keys, table, offsets
+
+
+def boson_block(block: PolynomialBlock, s) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of Tr(D rho) over boson-symmetric density matrices, for each column.
 
     The compressed operator of the lifted observable is diagonal on the
@@ -283,29 +308,37 @@ def boson_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray]
     falling-factorial product of each term is formed once and multiplies
     that term's row of coefficients, the terms summed in the block's order.
     Returns each column's minimum and its occupation state's row in
-    compositions(s, d); the first minimum wins ties.
+    compositions(s, d); the first minimum wins ties.  Given several
+    lengths (several_lengths), the occupation bases of all of them are
+    stacked into one diagonal, each length's rows divided by its own
+    s^(k falling) and minimized apart, and the list of those pairs is
+    returned; the first length whose minimum overflows raises.
     """
-    block.check_length(s)
-    counts = composition_array(s, block.d)
-    table = _falling_factorials(block.degree, s)
-    diagonal = np.zeros((len(counts), block.size))
+    lengths = block.check_lengths(s)
+    keys, table, offsets = _diagonal_tables(block.d, block.degree, *lengths)
+    diagonal = np.zeros((len(keys), block.size))
+    columns = np.arange(block.size)
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         for m, c in zip(block.terms, block.coefficients):
             product = None  # prod_i table[m_i, n_i] over the term's nonzero exponents
             for i, e in enumerate(m):
                 if e:
-                    factor = table[e][counts[:, i]]
+                    factor = table[e][keys[:, i]]
                     product = factor if product is None else product * factor
             diagonal += c if product is None else product[:, None] * c
-        diagonal /= table[block.degree, s]
-    rows = np.argmin(diagonal, axis=0)  # first minimum wins: deterministic tie-break
-    values = diagonal[rows, np.arange(block.size)]
-    if not np.isfinite(values).all():  # argmin stops at a NaN, so this sees any but +inf
-        raise DomainError(
-            f"the boson diagonal at length s={s} overflows: "
-            "an expectation exceeds the float range"
-        )
-    return values, rows
+        for length, start, end in zip(lengths, offsets, offsets[1:]):
+            part = diagonal[start:end]
+            part /= table[block.degree, keys[end - 1, -1]]  # (0, ..., 0, s) reads s^(k falling)
+            rows = np.argmin(part, axis=0)  # first minimum wins: deterministic tie-break
+            values = part[rows, columns]
+            if not np.isfinite(values).all():  # argmin stops at a NaN, so this sees any but +inf
+                raise DomainError(
+                    f"the boson diagonal at length s={length} overflows: "
+                    "an expectation exceeds the float range"
+                )
+            out.append((values, rows))
+    return out if several_lengths(s) else out[0]
 
 
 def quantum_bound(g: SimplexPolynomial, s: int) -> BoundResult:

@@ -172,14 +172,17 @@ def cmd_curve(
     return _agreement_exit(spreads, tol)
 
 
-def _block_values(method: str, block: PolynomialBlock, s: int) -> np.ndarray:
+def _block_values(method: str, block: PolynomialBlock, lengths: tuple) -> np.ndarray:
+    """The route's values on the block at each of the lengths: one row per length."""
     if method == "oracle":
-        return oracle_block(block, s)[0]
-    if method == "lp":
-        return lp_block(block, s)[0]
-    if method == "boson":
-        return boson.boson_block(block, s)[0]
-    raise DomainError(f"unknown method {method!r}")
+        results = oracle_block(block, lengths)
+    elif method == "lp":
+        results = lp_block(block, lengths)
+    elif method == "boson":
+        results = boson.boson_block(block, lengths)
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    return np.array([result[0] for result in results])
 
 
 def _seeded_quadratics(rng) -> list[SimplexPolynomial]:
@@ -203,22 +206,43 @@ def _seeded_quadratics(rng) -> list[SimplexPolynomial]:
     return out
 
 
+def _route_values(blocks: list, count: int, groups: list) -> np.ndarray:
+    """values[i, k, r]: route r on observable i at the k-th length of the groups, in turn.
+
+    blocks pairs each block with its observables' indices.  Each route
+    takes a block at one group of lengths per call, in (block, group,
+    route) order.
+    """
+    values = np.zeros((count, sum(len(group) for group in groups), len(ROUTES)))
+    for members, block in blocks:
+        k = 0
+        for group in groups:
+            for r, method in enumerate(ROUTES):
+                values[members, k : k + len(group), r] = _block_values(method, block, group).T
+            k += len(group)
+    return values
+
+
 def _route_agreement(observables: list[SimplexPolynomial], tol: float):
     """The routes' worst spread over the observables at s = 2..5, and where it is.
 
-    The observables of one d form one block, evaluated once per route and
-    length.  The worst case is the first largest spread in the observables'
-    order, then by length; the route named is the one farthest from the
-    other two (the largest sum of distances to them).
+    The observables of one d form one block, which each route evaluates at
+    all four lengths in one call.  Should a call fail, the calls are made
+    again one length at a time, so that the error raised is the first in
+    (d, s, route) order.  The worst case is the first largest spread in
+    the observables' order, then by length; the route named is the one
+    farthest from the other two (the largest sum of distances to them).
     """
-    lengths = range(2, 6)
-    values = np.zeros((len(observables), len(lengths), len(ROUTES)))
+    lengths = (2, 3, 4, 5)
+    blocks = []
     for d in sorted({g.d for g in observables}):
         members = [i for i, g in enumerate(observables) if g.d == d]
-        block = PolynomialBlock.of([observables[i] for i in members])
-        for k, s in enumerate(lengths):
-            for r, method in enumerate(ROUTES):
-                values[members, k, r] = _block_values(method, block, s)
+        blocks.append((members, PolynomialBlock.of([observables[i] for i in members])))
+    try:
+        values = _route_values(blocks, len(observables), [lengths])
+    except FinexError:
+        _route_values(blocks, len(observables), [(s,) for s in lengths])
+        raise
     spreads = values.max(axis=2) - values.min(axis=2)
     worst, detail = max(0.0, float(spreads.max())), None
     if worst > 0.0:
@@ -304,11 +328,12 @@ def _verify_checks(seed: int, tol: float, perturb: bool):
     rows = len(cone_lp.rows)
     yield "cone-lp-has-21-rows", rows == 21, float(rows), None
 
-    witness = two_face_witness()
+    witness = PolynomialBlock.of([two_face_witness()])
+    expected = np.array([-0.5, -1.0 / 6.0])  # at s = 2 and 3
     gap = 0.0
-    for s, expected in ((2, -0.5), (3, -1.0 / 6.0)):
-        for value in (_bound_for(m, witness, s).value for m in ROUTES):
-            gap = max(gap, abs(value - expected))
+    for method in ROUTES:
+        values = _block_values(method, witness, (2, 3))[:, 0]
+        gap = max(gap, float(np.abs(values - expected).max()))
     yield "reference-values", gap <= tol, gap, None
 
 
@@ -664,7 +689,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (MemoryError, RecursionError) as exc:
         # a size past what the machine, or the interpreter's stack, holds is an
-        # input error, not a failed check (d >= 330 outruns the composition tables)
+        # input error, not a failed check
         what = "memory" if isinstance(exc, MemoryError) else "recursion depth"
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of {what}{detail}", file=sys.stderr)

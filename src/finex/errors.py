@@ -18,7 +18,12 @@ class NormalizationError(DomainError):
 
 
 class CapacityError(FinexError):
-    """A dense object (a tensor-space matrix, an LP listing) would exceed config.DENSE_CAP."""
+    """A table would not fit.
+
+    A dense object (a tensor-space matrix, an LP listing) past
+    config.DENSE_CAP, or a composition table past numpy's largest array or
+    Python's recursion limit.
+    """
 
 
 class SolverFailure(FinexError):

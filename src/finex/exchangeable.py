@@ -44,6 +44,7 @@ from .polynomial import (
     SimplexPolynomial,
     homogenize,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
     lift_block,
+    several_lengths,
 )
 
 
@@ -205,7 +206,7 @@ def expectation(dist: ExchangeableDistribution, g: SimplexPolynomial) -> float:
     return float(urn_values(g) @ scatter_by_rank(dist.orbit_probs, dist.r, dist.d))
 
 
-def oracle_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray]:
+def oracle_block(block: PolynomialBlock, s) -> tuple[np.ndarray, np.ndarray]:
     """Exact worst case of each column over all exchangeable distributions of length s.
 
     Linear objective + convex polytope: the minimum is attained at an urn
@@ -213,14 +214,19 @@ def oracle_block(block: PolynomialBlock, s: int) -> tuple[np.ndarray, np.ndarray
     each lifted coefficient divided by its orbit size, one urn per row.
     Returns each column's minimum and its row in compositions(s, d).  Ties
     break toward the earlier composition in the fixed enumeration order,
-    making the certificate deterministic.
+    making the certificate deterministic.  Given several lengths
+    (several_lengths), it lifts to each in turn and returns the list of
+    those pairs; the first length that fails raises.
     """
-    block.check_length(s)
-    # first: where the lift's multinomials overflow these do, and the error names length s
-    sizes = orbit_sizes(s, block.d)
-    values = lift_block(block, s) / sizes[:, None]
-    rows = np.argmin(values, axis=0)  # the first minimum: the earlier composition wins ties
-    return values[rows, np.arange(block.size)], rows
+    lengths = block.check_lengths(s)
+    out = []
+    for length in lengths:
+        # first: where the lift's multinomials overflow these do, and the error names the length
+        sizes = orbit_sizes(length, block.d)
+        values = lift_block(block, length) / sizes[:, None]
+        rows = np.argmin(values, axis=0)  # the first minimum: the earlier composition wins ties
+        out.append((values[rows, np.arange(block.size)], rows))
+    return out if several_lengths(s) else out[0]
 
 
 def oracle_bound(g: SimplexPolynomial, s: int) -> BoundResult:

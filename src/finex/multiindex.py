@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 CountVector = tuple[int, ...]
 Sequence = tuple[int, ...]
@@ -146,10 +146,41 @@ def _compositions(r: int, d: int) -> tuple[CountVector, ...]:
     return tuple(map(tuple, _composition_array(r, d).tolist()))
 
 
+# the largest byte count numpy allocates as one array
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
+
+def table_rows(r: int, d: int) -> int:
+    """num_compositions(r, d), N; CapacityError naming N where it passes numpy's largest array.
+
+    Every array with a row per count vector is sized by it before any
+    allocation; composition_array's int64 table, d entries a row, is the
+    largest of them.
+    """
+    n = num_compositions(r, d)
+    if n * d * 8 > _MAX_ARRAY_BYTES:
+        raise CapacityError(
+            f"the count vectors of degree {r} over d={d} number N = {n}, "
+            "past the largest array numpy can hold"
+        )
+    return n
+
+
 def composition_array(r: int, d: int) -> np.ndarray:
-    """compositions(r, d) as a read-only int64 array, one row per count vector; cached."""
-    num_compositions(r, d)  # validates r and d before the cache, which takes True for 1
-    return _composition_array(r, d)
+    """compositions(r, d) as a read-only int64 array, one row per count vector; cached.
+
+    r and d are validated before the cache, which takes True for 1, and the
+    table's size by table_rows.  Its build recurses one level per outcome,
+    so from about 330 outcomes it outruns Python's recursion limit, which
+    is refused as a CapacityError naming d.
+    """
+    table_rows(r, d)
+    try:
+        return _composition_array(r, d)
+    except RecursionError as exc:
+        raise CapacityError(
+            f"the composition tables over d={d} outcomes nest past Python's recursion limit"
+        ) from exc
 
 
 def compositions(r: int, d: int) -> list[CountVector]:
@@ -157,9 +188,10 @@ def compositions(r: int, d: int) -> list[CountVector]:
 
     The list has num_compositions(r, d) elements, no duplicates, and is
     strictly decreasing under tuple comparison.  It is a fresh list of
-    the cached tuples read from composition_array(r, d).
+    the cached tuples read from composition_array(r, d), which checks r,
+    d and the size first.
     """
-    num_compositions(r, d)  # validates r and d
+    composition_array(r, d)
     return list(_compositions(r, d))
 
 
@@ -290,7 +322,7 @@ def ranks(counts: np.ndarray, r: int) -> np.ndarray:
 
 def scatter_by_rank(entries: dict[CountVector, float], r: int, d: int) -> np.ndarray:
     """A map of degree-r count vectors as a vector in compositions(r, d) order, 0 if absent."""
-    out = np.zeros(num_compositions(r, d))
+    out = np.zeros(table_rows(r, d))
     keys = np.array(list(entries), dtype=np.int64).reshape(-1, d)
     out[ranks(keys, r)] = list(entries.values())
     return out

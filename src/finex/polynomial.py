@@ -37,12 +37,12 @@ from .multiindex import (
     is_integer,
     json_counts,
     json_document,
-    num_compositions,
     orbit_size,
     orbit_sizes,
     ranks,
     require_int,
     scatter_by_rank,
+    table_rows,
     validate_counts,
 )
 
@@ -120,10 +120,14 @@ class PolynomialBlock:
     Column j of coefficients holds observable j's coefficient on each of
     terms, 0 where it has no such term.  Every route evaluates a block,
     one value per column, and a single observable is a block of one
-    (PolynomialBlock.of([g])).  The boson route sums its terms in the
-    block's order, so a column whose own terms come in that order reads
-    bitwise what it reads alone.  Build blocks with PolynomialBlock.of,
-    which takes validated polynomials; the matrix is read-only.
+    (PolynomialBlock.of([g])).  A route takes one length s, or several
+    as a tuple, list or range (several_lengths), and then returns a list
+    with the one-length result of each, in the order given, each bitwise
+    what a call at that length alone returns.  The boson route sums its
+    terms in the block's order, so a column whose own terms come in that
+    order reads bitwise what it reads alone.  Build blocks with
+    PolynomialBlock.of, which takes validated polynomials; the matrix is
+    read-only.
     """
 
     d: int
@@ -170,6 +174,15 @@ class PolynomialBlock:
         if s < self.degree:
             raise DomainError(f"sequence length {s} < polynomial degree {self.degree}")
 
+    def check_lengths(self, s) -> tuple[int, ...]:
+        """The lengths s names (several_lengths), each checked by check_length; at least one."""
+        lengths = tuple(s) if several_lengths(s) else (s,)
+        if not lengths:
+            raise DomainError("a block route needs at least one sequence length")
+        for length in lengths:
+            self.check_length(length)
+        return lengths
+
     @cached_property
     def term_counts(self) -> np.ndarray:
         """terms as a (terms x d) int64 array."""
@@ -178,10 +191,15 @@ class PolynomialBlock:
     @cached_property
     def coefficient_matrix(self) -> np.ndarray:
         """Coefficients in compositions(degree, d) order, one column per observable; read-only."""
-        out = np.zeros((num_compositions(self.degree, self.d), self.size))
+        out = np.zeros((table_rows(self.degree, self.d), self.size))
         out[ranks(self.term_counts, self.degree)] = self.coefficients
         out.setflags(write=False)
         return out
+
+
+def several_lengths(s) -> bool:
+    """Whether a block route's length argument lists lengths (a tuple, list or range) or is one."""
+    return isinstance(s, (tuple, list, range))
 
 
 def lift_block(block: PolynomialBlock, target_degree: int) -> np.ndarray:
@@ -197,7 +215,7 @@ def lift_block(block: PolynomialBlock, target_degree: int) -> np.ndarray:
     d, size = block.d, block.size
     term_counts, coeffs = block.term_counts, block.coefficients
     lift_counts, weights = composition_array(lift, d), orbit_sizes(lift, d)
-    values = np.zeros(num_compositions(target_degree, d) * size)
+    values = np.zeros(table_rows(target_degree, d) * size)
     columns = np.arange(size)
     # one product per lift composition m (weight orbit_size(m), its multinomial),
     # term n and column, m-major: np.add.at adds them in that order, block

@@ -192,14 +192,15 @@ def certificate_residuals(
     Given (n x B) arrays, one pair per column, each residual is an array
     of B, column j's residual; given vectors, each is a float.
     """
-    constrained = reduced[~free].max(axis=0, initial=-np.inf)
-    unrestricted = np.abs(reduced[free]).max(axis=0, initial=0.0)
+    largest = np.maximum.reduce  # ndarray.max without its Python wrapper
+    constrained = largest(reduced[~free], axis=0, initial=-np.inf)
+    unrestricted = largest(np.abs(reduced[free]), axis=0, initial=0.0)
     # np.where(b > a, b, a) is Python's max(a, b), a NaN in b and a -0.0 in a included
     dual = np.where(unrestricted > constrained, unrestricted, constrained)
     residuals = {
-        "primal": np.abs(gap).max(axis=0, initial=0.0),
+        "primal": largest(np.abs(gap), axis=0, initial=0.0),
         "dual": np.where(0.0 > dual, 0.0, dual),
-        "complementary_slackness": np.abs(x * reduced).max(axis=0, initial=0.0),
+        "complementary_slackness": largest(np.abs(x * reduced), axis=0, initial=0.0),
     }
     if np.ndim(gap) == 1:
         return {key: float(value) for key, value in residuals.items()}

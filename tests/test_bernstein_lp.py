@@ -42,7 +42,7 @@ def reference_lp(cone_lp):
 
 def solve(cone_lp):
     """_solve on the system's one column: (values, primals, duals, residuals, leaving)."""
-    return _solve(cone_lp.d, cone_lp.s, cone_lp.b[:, None])
+    return _solve(cone_lp.d, cone_lp.b[:, None], cone_lp.s)[0]
 
 
 def row_as_dict(cone_lp, row_index):

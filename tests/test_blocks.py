@@ -4,7 +4,9 @@ A single observable is a block of one, so each column of a block must read
 bitwise what the column reads alone: the value, the argmin and, for the
 cone LP, the residuals and the certificate.  A bad column raises the error
 a single call on it raises, with the same message, and `verify`, which
-evaluates its observables as blocks, exits with that error's code.
+evaluates its observables as blocks, exits with that error's code.  A
+route given several lengths returns, bitwise, what one call per length
+returns, and fails as the call at the first failing length fails.
 """
 
 import numpy as np
@@ -317,7 +319,7 @@ class TestVerifyWithABadObservable:
         assert err == f"error: {single.value}\n"
 
 
-def test_the_agreement_check_makes_eight_block_calls_per_route(monkeypatch):
+def test_the_agreement_check_makes_two_block_calls_per_route(monkeypatch):
     import finex.boson
     import finex.cli
 
@@ -335,8 +337,108 @@ def test_the_agreement_check_makes_eight_block_calls_per_route(monkeypatch):
     monkeypatch.setattr(finex.boson, "boson_block", counting("boson", finex.boson.boson_block))
     observables = finex.cli._seeded_quadratics(np.random.default_rng(0))
     assert finex.cli._route_agreement(observables, 1e-7)[0]
-    # one block per d (2 and 3), four lengths, three routes
-    assert len(calls) == 24
+    # one block per d (2 and 3), three routes, each call over all four lengths
+    assert len(calls) == 6
     for method in ("oracle", "lp", "boson"):
-        for s in (2, 3, 4, 5):
-            assert sum(size for m, t, size in calls if (m, t) == (method, s)) == 50
+        mine = [(s, size) for m, s, size in calls if m == method]
+        assert len(mine) == 2
+        assert all(s == (2, 3, 4, 5) for s, _ in mine)
+        assert sum(size for _, size in mine) == 50
+
+
+def length_tuples(degree):
+    # the lengths 2..5 that the degree allows, and a non-contiguous pair that
+    # ends at the degree itself (s = 0 for a constant: a sweep of no steps)
+    return [tuple(range(max(degree, 2), 6)), (5, degree)]
+
+
+MULTI = [(columns, lengths) for columns, _ in BLOCKS for lengths in length_tuples(columns[0].degree)]
+MULTI_IDS = [f"d{cols[0].d}-k{cols[0].degree}-{'.'.join(map(str, t))}" for cols, t in MULTI]
+
+
+@pytest.mark.parametrize("columns, lengths", MULTI, ids=MULTI_IDS)
+@pytest.mark.parametrize("route", [oracle_block, boson_block], ids=["oracle", "boson"])
+def test_several_lengths_are_the_one_length_calls(route, columns, lengths):
+    block = PolynomialBlock.of(columns)
+    results = route(block, lengths)
+    assert len(results) == len(lengths)
+    for s, (values, rows) in zip(lengths, results):
+        single_values, single_rows = route(block, s)
+        assert np.array_equal(bits(values), bits(single_values))
+        assert np.array_equal(rows, single_rows)
+
+
+@pytest.mark.parametrize("columns, lengths", MULTI, ids=MULTI_IDS)
+def test_the_lp_over_several_lengths_is_the_one_length_solves(columns, lengths):
+    block = PolynomialBlock.of(columns)
+    results = lp_block(block, lengths)
+    assert len(results) == len(lengths)
+    for s, (values, primal, dual, residuals) in zip(lengths, results):
+        single = lp_block(block, s)
+        assert np.array_equal(bits(values), bits(single[0]))
+        assert np.array_equal(bits(primal), bits(single[1]))
+        assert np.array_equal(bits(dual), bits(single[2]))
+        assert residuals.keys() == single[3].keys()
+        for key, value in residuals.items():
+            assert np.array_equal(bits(value), bits(single[3][key]))
+
+
+def test_a_list_or_range_of_lengths_is_several():
+    block = PolynomialBlock.of(quadratics(3, 3, 9))
+    expected = oracle_block(block, (2, 3, 4))
+    for lengths in ([2, 3, 4], range(2, 5)):
+        got = oracle_block(block, lengths)
+        assert len(got) == 3
+        for (values, rows), (want, want_rows) in zip(got, expected):
+            assert np.array_equal(bits(values), bits(want))
+            assert np.array_equal(rows, want_rows)
+    # a tuple of one is a list of one
+    [(values, rows)] = boson_block(block, (3,))
+    assert np.array_equal(bits(values), bits(boson_block(block, 3)[0]))
+
+
+@pytest.mark.parametrize("route", [oracle_block, boson_block, lp_block])
+def test_several_lengths_are_each_checked(route):
+    block = PolynomialBlock.of(quadratics(2, 2, 10))
+    with pytest.raises(DomainError, match="at least one sequence length"):
+        route(block, ())
+    with pytest.raises(DomainError, match="sequence length must be an integer"):
+        route(block, (3, 3.0))
+    with pytest.raises(DomainError, match="sequence length 1 < polynomial degree 2"):
+        route(block, (3, 1))
+
+
+class TestTheFirstFailingLength:
+    """Over several lengths, the error is the one-length call's at the first that fails."""
+
+    def test_the_lp_names_the_first_failing_length_then_column(self):
+        # the d=3 witness misses the primal contract from s=18, and at s=24
+        # so does the other quadratic, with different residuals
+        witness, other = two_face_witness(3), quadratics(3, 1, 4)[0]
+        block = PolynomialBlock.of([CROSS, other, witness])
+        for lengths, first in (((24, 18), 24), ((18, 24), 18), ((5, 24, 18), 24)):
+            error, single = same_error(
+                lambda: lp_block(block, lengths), lambda: lp_block(block, first), SolverFailure
+            )
+            assert error.diagnostics == single.diagnostics
+        # at s=24 the first failing column is named, as one call names it
+        _, single = same_error(
+            lambda: lp_block(block, (5, 24)), lambda: lower_bound_lp(other, 24), SolverFailure
+        )
+        assert single.diagnostics["primal"] > 1e-8
+
+    def test_an_lp_overflow_names_its_length(self):
+        # it overflows at every length, so the first one given is named
+        block = PolynomialBlock.of([*quadratics(2, 2, 5), LP_OVERFLOW])
+        for lengths in ((3, 2), (5, 3, 2)):
+            error, _ = same_error(
+                lambda: lp_block(block, lengths), lambda: lp_block(block, lengths[0]), DomainError
+            )
+            assert f"cone LP at length s={lengths[0]} overflows" in str(error)
+
+    def test_the_oracle_names_the_first_length_whose_lift_overflows(self):
+        block = PolynomialBlock.of([*quadratics(3, 2, 1), LIFT_OVERFLOW])
+        same_error(
+            lambda: oracle_block(block, (2, 3, 5, 4)), lambda: oracle_block(block, 5), DomainError
+        )
+        assert len(oracle_block(block, (3, 2))) == 2

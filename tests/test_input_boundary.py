@@ -7,6 +7,8 @@ file, the way the commands pass them, and must end in DomainError; through
 `finex bound` and `finex sample --dist` it exits 2 with one `error:` line.
 Two scans keep the rules in one place: json.load(s) is called in one
 function of the package, and the CLI reads input files in one function.
+Sizes past what the composition tables can hold (about 330 faces, or a
+length past numpy's largest array) end in CapacityError, and exit 2 alike.
 """
 
 import ast
@@ -17,9 +19,13 @@ import pytest
 
 import finex
 from finex import boson, exchangeable, polynomial
-from finex.boson import OccupationBasis
-from finex.cli import main
-from finex.errors import DomainError
+from finex.bernstein_lp import lower_bound_lp
+from finex.boson import OccupationBasis, quantum_bound
+from finex.cli import ROUTES, main
+from finex.errors import CapacityError, DomainError
+from finex.exchangeable import oracle_bound
+from finex.multiindex import composition_array, compositions
+from finex.polynomial import SimplexPolynomial
 
 # each format's reader and a valid document with %s where a number belongs
 READERS = {
@@ -104,14 +110,57 @@ def test_an_unreadable_file_is_named(tmp_path, capsys, reader):
 )
 def test_an_observable_with_400_faces_exits_2(tmp_path, capsys, argv):
     # past about 330 faces the recursion that builds the composition tables
-    # outruns Python's recursion limit
+    # outruns Python's recursion limit, which is refused as a CapacityError
     d = 400
     terms = [{"counts": [int(i == j) for j in range(d)], "coeff": i % 3 - 1.0} for i in range(d)]
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"d": d, "terms": terms}))
     code, out, err = _run([*argv, "--observable", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: out of recursion depth")
+    assert err == (
+        "error: the composition tables over d=400 outcomes nest past Python's recursion limit\n"
+    )
+
+
+@pytest.mark.parametrize("route", [oracle_bound, lower_bound_lp, quantum_bound])
+def test_the_routes_refuse_400_faces_with_a_capacity_error(route):
+    g = SimplexPolynomial(400, 1, {(1,) + (0,) * 399: 1.0})
+    with pytest.raises(CapacityError, match="over d=400 outcomes nest past"):
+        route(g, 1)
+
+
+HUGE = 10**20  # past numpy's largest array dimension, let alone its memory
+PAST_NUMPY = (
+    f"the count vectors of degree {HUGE} over d=2 number N = {HUGE + 1}, "
+    "past the largest array numpy can hold"
+)
+
+
+@pytest.mark.parametrize("degree", [HUGE, 2], ids=["degree-1e20", "quadratic"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["bound", "--s", str(HUGE), "--method", method] for method in ROUTES + ("all",)),
+        ["curve", "--s-min", str(HUGE), "--s-max", str(HUGE)],
+    ],
+    ids=[*ROUTES, "all", "curve"],
+)
+def test_a_length_past_numpys_largest_array_exits_2(tmp_path, capsys, argv, degree):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"d": 2, "terms": [{"counts": [degree, 0], "coeff": 1.0}]}))
+    code, out, err = _run([*argv, "--observable", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {PAST_NUMPY}\n")
+
+
+def test_the_tables_refuse_a_length_past_numpys_largest_array():
+    for table in (composition_array, compositions):
+        with pytest.raises(CapacityError) as caught:
+            table(HUGE, 2)
+        assert str(caught.value) == PAST_NUMPY
+    g = SimplexPolynomial(2, HUGE, {(HUGE, 0): 1.0})
+    for route in (oracle_bound, lower_bound_lp, quantum_bound):
+        with pytest.raises(CapacityError, match="past the largest array numpy can hold"):
+            route(g, HUGE)
 
 
 def test_occupation_index_refuses_entries_that_are_not_integers():

@@ -168,7 +168,7 @@ def test_compositions_returns_a_fresh_list():
 )
 def test_certificate_u_is_the_nonzero_primal_by_composition(g, s):
     # the certificate is the solve's own arrays, u in compositions order
-    _, primal, dual, _, _ = _solve(g.d, s, assemble(g, s).b[:, None])
+    _, primal, dual, _, _ = _solve(g.d, assemble(g, s).b[:, None], s)[0]
     certificate = lower_bound_lp(g, s).certificate
     assert_bitwise(certificate["u"], primal[:-1, 0])
     assert_bitwise(certificate["dual"], dual[:, 0])

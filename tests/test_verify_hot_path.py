@@ -8,6 +8,10 @@ one assignment per column.  Every output must match them bit for bit, and
 the generator must end in the same state, so the dense rows that draw
 after the quadratics draw the same numbers.
 
+`_route_agreement` evaluates each block at all four lengths in one call
+per route; the reference is the loop it replaced, one call per route,
+block and length, and its result must match bit for bit.
+
 The cone LP's `_solve` applies its u-block by Horner sweeps, which round
 differently from the triplet (vstack) formulation it replaced, so the
 solve is held to exact rationals instead: on seeded blocks its p = B^-1 b,
@@ -20,9 +24,11 @@ import numpy as np
 import pytest
 from cone_lp_reference import exact_dual, exact_solve, reference_orbit_sizes, reference_solve, swept
 
-from finex.bernstein_lp import _right_hand_sides, _solve
-from finex.cli import _seeded_quadratics
+from finex.bernstein_lp import _right_hand_sides, _solve, lp_block
+from finex.boson import boson_block
+from finex.cli import ROUTES, _route_agreement, _seeded_quadratics
 from finex.errors import SolverFailure
+from finex.exchangeable import oracle_block
 from finex.multiindex import compositions
 from finex.polynomial import PolynomialBlock, SimplexPolynomial, two_face_witness
 from finex.solvers import within_tolerances
@@ -73,6 +79,40 @@ def test_seeded_quadratics_prune_as_the_constructor_does():
         assert g == expected
         assert list(g.terms) == list(expected.terms)
         assert np.array_equal(bits(g.coefficient_vector), bits(expected.coefficient_vector))
+
+
+def reference_route_agreement(observables, tol):
+    """The agreement row with one call per route, block and length, in (d, s, route) order."""
+    lengths = range(2, 6)
+    routes = {"oracle": oracle_block, "lp": lp_block, "boson": boson_block}
+    values = np.zeros((len(observables), len(lengths), len(ROUTES)))
+    for d in sorted({g.d for g in observables}):
+        members = [i for i, g in enumerate(observables) if g.d == d]
+        block = PolynomialBlock.of([observables[i] for i in members])
+        for k, s in enumerate(lengths):
+            for r, method in enumerate(ROUTES):
+                values[members, k, r] = routes[method](block, s)[0]
+    spreads = values.max(axis=2) - values.min(axis=2)
+    worst, detail = max(0.0, float(spreads.max())), None
+    if worst > 0.0:
+        i, k = np.unravel_index(np.argmax(spreads), spreads.shape)
+        v = values[i, k]
+        far = ROUTES[int(np.argmax(np.abs(v[:, None] - v[None, :]).sum(axis=1)))]
+        detail = (
+            f"worst case: observable {i} of the seed's stream (d={observables[i].d}) "
+            f"at s={lengths[k]}; {far} is farthest from the other two routes"
+        )
+    return worst <= tol, worst, detail
+
+
+@pytest.mark.parametrize("seed", range(64))
+def test_route_agreement_matches_one_call_per_length(seed):
+    observables = _seeded_quadratics(np.random.default_rng(seed))
+    for tol in (1e-7, 0.0):  # 0.0: a failing row, whose detail names the worst case
+        passed, worst, detail = _route_agreement(observables, tol)
+        expected = reference_route_agreement(observables, tol)
+        assert (passed, detail) == (expected[0], expected[2])
+        assert bits(worst) == bits(expected[1])
 
 
 def reference_block(polynomials):
@@ -154,7 +194,7 @@ def test_solve_matches_the_vstack_formulation(columns, s):
     block = PolynomialBlock.of(columns)
     d = block.d
     b = _right_hand_sides(block, s)
-    values, primal, dual, residuals, leaving = _solve(d, s, b)
+    values, primal, dual, residuals, leaving = _solve(d, b, s)[0]
     vstack = reference_solve(d, s, b)
     p = swept(d, s, b, inverse=True)
     q = reference_orbit_sizes(s, d)
@@ -190,9 +230,9 @@ def test_solve_fails_where_the_vstack_formulation_fails():
     residuals = reference_solve(3, 18, b)[3]
     assert within_tolerances(residuals).tolist() == [True, False]
     with pytest.raises(SolverFailure) as caught:
-        _solve(3, 18, b)
+        _solve(3, b, 18)
     with pytest.raises(SolverFailure) as single:
-        _solve(3, 18, b[:, 1:])
+        _solve(3, b[:, 1:], 18)
     assert caught.value.diagnostics == single.value.diagnostics
     assert caught.value.diagnostics["primal"] > 1e-8
-    _solve(3, 18, b[:, :1])
+    _solve(3, b[:, :1], 18)
