@@ -12,10 +12,12 @@ assuming it.  The LP writes no dense constraint matrix.
 
 Each route evaluates a block of observables of one shape
 (polynomial.PolynomialBlock: a term list and a coefficient column per
-observable) and returns one value per column: oracle_block, lp_block and
-boson_block.  A single observable is a block of one; oracle_bound,
-lower_bound_lp and quantum_bound are those wrappers, and only they build
-BoundResults and certificates.
+observable) at a sequence of lengths: oracle_block, lp_block and
+boson_block.  Each returns one (values, rows) pair per length, each
+column's minimum and its row in compositions(s, d).  A single observable
+at one length is a block of one at (s,); oracle_bound, lower_bound_lp and
+quantum_bound are those wrappers, and only they build BoundResults and
+certificates.
 """
 
 from .boson import (

@@ -30,8 +30,8 @@ reduction, not its lift's ((sum theta)^(s-k) reduces to 1), a sweep at
 refuses past DENSE_CAP rows.  Since A is shared, lp_block solves a block
 of observables of one shape together, one column of b each, and validates
 each column's certificate on its own; lower_bound_lp is a block of one.
-Several lengths are solved as one system too: their count vectors form
-one union, whose sweeps cover every length at once (_Sweeps), and each
+Its lengths are solved as one system too: their count vectors form one
+union, whose sweeps cover every length at once (_Sweeps), and each
 length's values, certificates and residuals come out bitwise as its own
 solve gives them."""
 
@@ -61,7 +61,6 @@ from .polynomial import (
     SimplexPolynomial,
     homogenize,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
     reduce_to_free_vars,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
-    several_lengths,
 )
 from .solvers import (
     certificate_residuals,
@@ -174,7 +173,10 @@ def _sweeps(d: int, *lengths: int) -> _Sweeps:
         is_c[r.stop - 1] = True
     starts = np.array(offsets[:-1])[:, None]
     indices = [order, position, up, down, q, is_c, starts]
-    if many == 1:  # its rows are grouped already, and its row of an L x B array broadcasts
+    # one length needs none of the union's maps (its rows are grouped already, and its row of
+    # an L x B array broadcasts).  bound and curve solve one length per call, verify several;
+    # building the union's maps for one length too made warm d=6 solves 4-8 % slower
+    if many == 1:
         natural, segment, grouped, vertices = position, slice(None), slice(None), slice(0, 1)
     else:
         natural = np.empty(n + many, dtype=np.intp)
@@ -234,10 +236,10 @@ def _right_hand_sides(block: PolynomialBlock, *lengths: int) -> np.ndarray:
     Each column's b at length s is its reduction (the degree-k sweep for B
     on its coefficients, k = block.degree), pruned and placed at the rows
     (e, s - |e|) of compositions(s, d).  The reduction does not depend on
-    s, so it is made once for all the lengths.
+    s, so it is made once for all the lengths, which are checked first
+    (check_lengths).
     """
-    for s in lengths:
-        block.check_length(s)
+    block.check_lengths(lengths)
     d, k = block.d, block.degree
     maps, x = _sweeps(d, k), block.coefficient_matrix
     reduced = np.zeros((len(x) + 1, block.size))
@@ -358,20 +360,20 @@ def _column(residuals: dict, j: int) -> dict:
     return {key: float(value[j]) for key, value in residuals.items()}
 
 
-def lp_block(block: PolynomialBlock, s) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """LP route to the worst-case expectation over length-s sequences, for each column.
+def lp_block(block: PolynomialBlock, lengths) -> list[tuple[np.ndarray, np.ndarray]]:
+    """LP route to the worst-case expectation over each length's sequences, for each column.
 
-    Builds every column's b from its reduction and solves them together
-    (see _solve); each column's certificate is validated on its own.  It
-    neither lifts nor consults another route: comparing the routes is left
-    to the commands that compute more than one.  Returns (optimal values,
-    primals, duals, residuals), one column each.  Given several lengths
-    (several_lengths), they are solved as one system and the list of those
-    tuples is returned; the first length, then column, that fails raises.
+    Builds every column's b at every length from its reduction and solves
+    them as one system (see _solve); each column's certificate is
+    validated on its own at each length, and the first length, then
+    column, that fails raises.  It neither lifts nor consults another
+    route: comparing the routes is left to the commands that compute more
+    than one.  Returns one (values, rows) pair per length, in the order
+    given: each column's optimal value and its leaving row in
+    compositions(s, d), the urn whose expectation the value is.
     """
-    lengths = block.check_lengths(s)
-    out = [x[:4] for x in _solve(block.d, _right_hand_sides(block, *lengths), *lengths)]
-    return out if several_lengths(s) else out[0]
+    b = _right_hand_sides(block, *lengths)  # checks the lengths
+    return [(c, leaving) for c, _, _, _, leaving in _solve(block.d, b, *lengths)]
 
 
 def lower_bound_lp(g: SimplexPolynomial, s: int) -> BoundResult:

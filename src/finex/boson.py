@@ -56,7 +56,6 @@ from .polynomial import (
     evaluate,
     gradient,
     homogenize,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
-    several_lengths,
 )
 from .solvers import jacobi_eigen, require_hermitian
 
@@ -276,14 +275,11 @@ def _diagonal_tables(d: int, k: int, *lengths: int) -> tuple[np.ndarray, np.ndar
     Rows offsets[l] to offsets[l + 1] are compositions(lengths[l], d), the
     lengths in turn; table holds each length's _falling_factorials(k, s)
     side by side, and keys[t, i] is the column of table that reads entry i
-    of row t at its own length.  One length reads its own composition
-    array and table, uncopied.  Read-only.
+    of row t at its own length.  Read-only.
     """
     counts = [composition_array(s, d) for s in lengths]
     factorials = [_falling_factorials(k, s) for s in lengths]
     offsets = (0, *accumulate(len(rows) for rows in counts))
-    if len(lengths) == 1:
-        return counts[0], factorials[0], offsets
     starts = accumulate((s + 1 for s in lengths[:-1]), initial=0)
     keys = np.concatenate([rows + start for rows, start in zip(counts, starts)])
     table = np.concatenate(factorials, axis=1)
@@ -292,8 +288,8 @@ def _diagonal_tables(d: int, k: int, *lengths: int) -> tuple[np.ndarray, np.ndar
     return keys, table, offsets
 
 
-def boson_block(block: PolynomialBlock, s) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum of Tr(D rho) over boson-symmetric density matrices, for each column.
+def boson_block(block: PolynomialBlock, lengths) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Minimum of Tr(D rho) over boson-symmetric density matrices, for each column and length.
 
     The compressed operator of the lifted observable is diagonal on the
     occupation basis, so its minimum eigenvalue is the smallest diagonal
@@ -307,14 +303,14 @@ def boson_block(block: PolynomialBlock, s) -> tuple[np.ndarray, np.ndarray]:
     replacement.  It is the urn oracle's vector computed another way.  The
     falling-factorial product of each term is formed once and multiplies
     that term's row of coefficients, the terms summed in the block's order.
-    Returns each column's minimum and its occupation state's row in
-    compositions(s, d); the first minimum wins ties.  Given several
-    lengths (several_lengths), the occupation bases of all of them are
-    stacked into one diagonal, each length's rows divided by its own
-    s^(k falling) and minimized apart, and the list of those pairs is
-    returned; the first length whose minimum overflows raises.
+    The lengths are checked first (check_lengths); their occupation bases
+    are stacked into one diagonal, each length's rows divided by its own
+    s^(k falling) and minimized apart.  Returns one (values, rows) pair
+    per length, in the order given: each column's minimum and its
+    occupation state's row in compositions(s, d); the first minimum wins
+    ties.  The first length whose minimum overflows raises.
     """
-    lengths = block.check_lengths(s)
+    lengths = block.check_lengths(lengths)
     keys, table, offsets = _diagonal_tables(block.d, block.degree, *lengths)
     diagonal = np.zeros((len(keys), block.size))
     columns = np.arange(block.size)
@@ -338,16 +334,16 @@ def boson_block(block: PolynomialBlock, s) -> tuple[np.ndarray, np.ndarray]:
                     "an expectation exceeds the float range"
                 )
             out.append((values, rows))
-    return out if several_lengths(s) else out[0]
+    return out
 
 
 def quantum_bound(g: SimplexPolynomial, s: int) -> BoundResult:
-    """boson_block for g as a block of one; the certificate is the ground eigenvector.
+    """boson_block for g alone at one length; the certificate is the ground eigenvector.
 
     That eigenvector is the occupation basis vector of the minimizing
     count vector, which is also the argmin.
     """
-    values, rows = boson_block(PolynomialBlock.of([g]), s)
+    [(values, rows)] = boson_block(PolynomialBlock.of([g]), (s,))
     k = int(rows[0])
     eigenvector = np.zeros(num_compositions(s, g.d))
     eigenvector[k] = 1.0

@@ -182,7 +182,7 @@ def _block_values(method: str, block: PolynomialBlock, lengths: tuple) -> np.nda
         results = boson.boson_block(block, lengths)
     else:
         raise DomainError(f"unknown method {method!r}")
-    return np.array([result[0] for result in results])
+    return np.array([values for values, _ in results])
 
 
 def _seeded_quadratics(rng) -> list[SimplexPolynomial]:
@@ -325,7 +325,7 @@ def _verify_checks(seed: int, tol: float, perturb: bool):
     from .polynomial import two_face_witness
 
     cone_lp = assemble(two_face_witness(), 2)
-    rows = len(cone_lp.rows)
+    rows = len(cone_lp.b)
     yield "cone-lp-has-21-rows", rows == 21, float(rows), None
 
     witness = PolynomialBlock.of([two_face_witness()])

@@ -8,8 +8,9 @@ balls, draw all s without replacement, and every ordering of n is equally
 likely.  Minimizing a linear expectation over the polytope therefore
 reduces to an exact enumeration over urn compositions, which is the
 oracle every other bound method in this package is checked against.
-oracle_block evaluates it for a block of observables, one column each;
-oracle_bound is that for a single observable, a block of one.
+oracle_block evaluates it for a block of observables, one column each,
+at each of a sequence of lengths; oracle_bound is that for a single
+observable, a block of one, at one length.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import DomainError, ExchangeabilityError, NormalizationError
 from .multiindex import (
     CountVector,
     Sequence,
+    composition_array,
     compositions,
     count_vector,
     iter_orbit_sequences,
@@ -36,15 +38,13 @@ from .multiindex import (
     require_int,
     scatter_by_rank,
     sequence_to_counts,
-    unrank,
     validate_counts,
 )
 from .polynomial import (
     PolynomialBlock,
     SimplexPolynomial,
+    _lift,
     homogenize,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
-    lift_block,
-    several_lengths,
 )
 
 
@@ -191,7 +191,7 @@ def marginalize(dist: ExchangeableDistribution, r: int) -> ExchangeableDistribut
 
 
 def expectation(dist: ExchangeableDistribution, g: SimplexPolynomial) -> float:
-    """E[g] = sum over orbits n of urn_values(g)[n] * P(orbit n).
+    """E[g] = sum over orbits n of g's urn value at n (urn_values) * P(orbit n).
 
     The polynomial degree must equal the sequence length; lift the
     polynomial with homogenize first if it is shorter.
@@ -203,57 +203,59 @@ def expectation(dist: ExchangeableDistribution, g: SimplexPolynomial) -> float:
             f"polynomial degree {g.degree} != sequence length {dist.r}; "
             "homogenize the polynomial first"
         )
-    return float(urn_values(g) @ scatter_by_rank(dist.orbit_probs, dist.r, dist.d))
+    values = urn_values(PolynomialBlock.of([g]), g.degree)[:, 0]
+    return float(values @ scatter_by_rank(dist.orbit_probs, dist.r, dist.d))
 
 
-def oracle_block(block: PolynomialBlock, s) -> tuple[np.ndarray, np.ndarray]:
-    """Exact worst case of each column over all exchangeable distributions of length s.
+def urn_values(block: PolynomialBlock, s: int) -> np.ndarray:
+    """Each column's expectation under each length-s urn: a row per urn, in compositions order.
+
+    The urn with composition n makes each ordering of n equally likely, so
+    it reads the coefficient of theta^n in the column lifted to degree s
+    divided by orbit_size(n).  s is not checked against the block
+    (oracle_block checks its lengths); one that is not a valid length
+    still raises DomainError, from the tables.  The boson route computes
+    the same values another way, by second quantization
+    (boson.boson_block), so each checks the other.
+    """
+    # first: where the lift's multinomials overflow these do, and the error names the length
+    sizes = orbit_sizes(s, block.d)
+    return _lift(block, s) / sizes[:, None]
+
+
+def oracle_block(block: PolynomialBlock, lengths) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact worst case of each column over all exchangeable distributions of each length.
 
     Linear objective + convex polytope: the minimum is attained at an urn
-    extreme point, so every column is lifted to degree s (lift_block) and
-    each lifted coefficient divided by its orbit size, one urn per row.
-    Returns each column's minimum and its row in compositions(s, d).  Ties
-    break toward the earlier composition in the fixed enumeration order,
-    making the certificate deterministic.  Given several lengths
-    (several_lengths), it lifts to each in turn and returns the list of
-    those pairs; the first length that fails raises.
+    extreme point, so at each length s the minimum of each column is the
+    smallest of its urn_values.  Returns one (values, rows) pair per
+    length, in the order given: each column's minimum and its row in
+    compositions(s, d).  Ties break toward the earlier composition in the
+    fixed enumeration order, making the certificate deterministic.  The
+    lengths are checked first (check_lengths), then lifted to in turn;
+    the first that fails raises.
     """
-    lengths = block.check_lengths(s)
     out = []
-    for length in lengths:
-        # first: where the lift's multinomials overflow these do, and the error names the length
-        sizes = orbit_sizes(length, block.d)
-        values = lift_block(block, length) / sizes[:, None]
+    for s in block.check_lengths(lengths):
+        values = urn_values(block, s)
         rows = np.argmin(values, axis=0)  # the first minimum: the earlier composition wins ties
         out.append((values[rows, np.arange(block.size)], rows))
-    return out if several_lengths(s) else out[0]
+    return out
 
 
 def oracle_bound(g: SimplexPolynomial, s: int) -> BoundResult:
     """Exact worst case of g over length-s exchangeable distributions.
 
-    oracle_block for g as a block of one; argmin is the minimizing urn
-    composition.
+    oracle_block for g as a block of one at one length; argmin is the
+    minimizing urn composition.
     """
-    values, rows = oracle_block(PolynomialBlock.of([g]), s)
+    [(values, rows)] = oracle_block(PolynomialBlock.of([g]), (s,))
     return BoundResult(
         value=float(values[0]),
         method="oracle",
-        argmin=unrank(int(rows[0]), s, g.d),
+        argmin=tuple(composition_array(s, g.d)[rows[0]].tolist()),
         diagnostics={"compositions_evaluated": num_compositions(s, g.d), "s": s},
     )
-
-
-def urn_values(lifted: SimplexPolynomial) -> np.ndarray:
-    """Expectation of lifted under every urn, in compositions(s, d) order.
-
-    The urn with composition n makes each ordering of n equally likely, so
-    it reads the coefficient of theta^n divided by orbit_size(n), as
-    oracle_block does for every column of a block.  The boson route
-    computes the same vector another way, by second quantization
-    (boson.boson_block), so each checks the other.
-    """
-    return lifted.coefficient_vector / orbit_sizes(lifted.degree, lifted.d)
 
 
 def sample(

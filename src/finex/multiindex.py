@@ -151,17 +151,25 @@ _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 def table_rows(r: int, d: int) -> int:
-    """num_compositions(r, d), N; CapacityError naming N where it passes numpy's largest array.
+    """num_compositions(r, d), N; CapacityError where a table of degree r passes numpy's limit.
 
     Every array with a row per count vector is sized by it before any
     allocation; composition_array's int64 table, d entries a row, is the
-    largest of them.
+    largest of them.  The tables with a row per degree 0..r, of which
+    orbit_sizes' binomials (_INT64_BINOMIAL_COLUMNS int64 entries a row)
+    are the largest, are refused here too: at d <= 2 they outgrow the
+    count vectors' table, and their bound refuses every r past int64,
+    which holds every count.
     """
     n = num_compositions(r, d)
     if n * d * 8 > _MAX_ARRAY_BYTES:
         raise CapacityError(
             f"the count vectors of degree {r} over d={d} number N = {n}, "
             "past the largest array numpy can hold"
+        )
+    if (r + 1) * _INT64_BINOMIAL_COLUMNS * 8 > _MAX_ARRAY_BYTES:
+        raise CapacityError(
+            f"the tables with a row per degree 0..{r} pass the largest array numpy can hold"
         )
     return n
 

@@ -120,14 +120,15 @@ class PolynomialBlock:
     Column j of coefficients holds observable j's coefficient on each of
     terms, 0 where it has no such term.  Every route evaluates a block,
     one value per column, and a single observable is a block of one
-    (PolynomialBlock.of([g])).  A route takes one length s, or several
-    as a tuple, list or range (several_lengths), and then returns a list
-    with the one-length result of each, in the order given, each bitwise
-    what a call at that length alone returns.  The boson route sums its
-    terms in the block's order, so a column whose own terms come in that
-    order reads bitwise what it reads alone.  Build blocks with
-    PolynomialBlock.of, which takes validated polynomials; the matrix is
-    read-only.
+    (PolynomialBlock.of([g])).  Every route takes a sequence of lengths
+    (a tuple, list or range), checks them once (check_lengths) and
+    returns a list with one (values, rows) pair per length, in the order
+    given: each column's minimum and its row in compositions(s, d), each
+    pair bitwise what a call at that length alone returns.  The boson
+    route sums its terms in the block's order, so a column whose own terms
+    come in that order reads bitwise what it reads alone.  Build blocks
+    with PolynomialBlock.of, which takes validated polynomials; the matrix
+    is read-only.
     """
 
     d: int
@@ -167,20 +168,16 @@ class PolynomialBlock:
         """B, the number of observables."""
         return self.coefficients.shape[1]
 
-    def check_length(self, s: int) -> None:
-        """Raise DomainError unless s is an integer length >= degree; run before any cache."""
-        if not is_integer(s):
-            raise DomainError(f"sequence length must be an integer, got {s!r}")
-        if s < self.degree:
-            raise DomainError(f"sequence length {s} < polynomial degree {self.degree}")
-
-    def check_lengths(self, s) -> tuple[int, ...]:
-        """The lengths s names (several_lengths), each checked by check_length; at least one."""
-        lengths = tuple(s) if several_lengths(s) else (s,)
+    def check_lengths(self, lengths) -> tuple[int, ...]:
+        """lengths as a tuple, at least one, each an integer >= degree; run before any cache."""
+        lengths = tuple(lengths)
         if not lengths:
             raise DomainError("a block route needs at least one sequence length")
-        for length in lengths:
-            self.check_length(length)
+        for s in lengths:
+            if not is_integer(s):
+                raise DomainError(f"sequence length must be an integer, got {s!r}")
+            if s < self.degree:
+                raise DomainError(f"sequence length {s} < polynomial degree {self.degree}")
         return lengths
 
     @cached_property
@@ -197,25 +194,26 @@ class PolynomialBlock:
         return out
 
 
-def several_lengths(s) -> bool:
-    """Whether a block route's length argument lists lengths (a tuple, list or range) or is one."""
-    return isinstance(s, (tuple, list, range))
-
-
 def lift_block(block: PolynomialBlock, target_degree: int) -> np.ndarray:
     """Each column multiplied by (theta_1+...+theta_d)**(target_degree - degree).
 
     Returns the lifted coefficients in compositions(target_degree, d)
     order, one column per observable, those below the prune threshold
     set to 0.  A lifted coefficient past the float range in any column
-    raises DomainError.
+    raises DomainError.  target_degree is checked first (check_lengths).
     """
-    block.check_length(target_degree)
+    block.check_lengths((target_degree,))
+    return _lift(block, target_degree)
+
+
+def _lift(block: PolynomialBlock, target_degree: int) -> np.ndarray:
+    """lift_block at a target_degree already checked, as a route checks its lengths."""
     lift = target_degree - block.degree
     d, size = block.d, block.size
+    # sized first: a degree past the tables is refused before term_counts casts it to int64
+    values = np.zeros(table_rows(target_degree, d) * size)
     term_counts, coeffs = block.term_counts, block.coefficients
     lift_counts, weights = composition_array(lift, d), orbit_sizes(lift, d)
-    values = np.zeros(table_rows(target_degree, d) * size)
     columns = np.arange(size)
     # one product per lift composition m (weight orbit_size(m), its multinomial),
     # term n and column, m-major: np.add.at adds them in that order, block

@@ -2,21 +2,22 @@
 
 A single observable is a block of one, so each column of a block must read
 bitwise what the column reads alone: the value, the argmin and, for the
-cone LP, the residuals and the certificate.  A bad column raises the error
-a single call on it raises, with the same message, and `verify`, which
-evaluates its observables as blocks, exits with that error's code.  A
-route given several lengths returns, bitwise, what one call per length
+cone LP, the residuals and the certificate (read from its _solve).  A bad
+column raises the error a single call on it raises, with the same message,
+and `verify`, which evaluates its observables as blocks, exits with that
+error's code.  Every route takes a sequence of lengths and returns one
+(values, rows) pair per length, bitwise what a call at that length alone
 returns, and fails as the call at the first failing length fails.
 """
 
 import numpy as np
 import pytest
 
-from finex.bernstein_lp import lower_bound_lp, lp_block
+from finex.bernstein_lp import _right_hand_sides, _solve, lower_bound_lp, lp_block
 from finex.boson import boson_block, quantum_bound
 from finex.cli import main
 from finex.errors import DomainError, SolverFailure
-from finex.exchangeable import oracle_block, oracle_bound
+from finex.exchangeable import oracle_block, oracle_bound, urn_values
 from finex.multiindex import composition_array, compositions, unrank
 from finex.polynomial import (
     PolynomialBlock,
@@ -30,6 +31,11 @@ from finex.polynomial import (
 
 def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def solved(block, *lengths):
+    """The LP's whole solve at each length: (values, primal, dual, residuals, rows)."""
+    return _solve(block.d, _right_hand_sides(block, *lengths), *lengths)
 
 
 def hexed(residuals):
@@ -62,7 +68,7 @@ IDS = [f"d{cols[0].d}-k{cols[0].degree}-s{s}-b{len(cols)}" for cols, s in BLOCKS
 
 @pytest.mark.parametrize("columns, s", BLOCKS, ids=IDS)
 def test_oracle_columns_match_single_calls(columns, s):
-    values, rows = oracle_block(PolynomialBlock.of(columns), s)
+    [(values, rows)] = oracle_block(PolynomialBlock.of(columns), (s,))
     for j, g in enumerate(columns):
         single = oracle_bound(g, s)
         assert bits(values[j]) == bits(single.value)
@@ -71,7 +77,7 @@ def test_oracle_columns_match_single_calls(columns, s):
 
 @pytest.mark.parametrize("columns, s", BLOCKS, ids=IDS)
 def test_boson_columns_match_single_calls(columns, s):
-    values, rows = boson_block(PolynomialBlock.of(columns), s)
+    [(values, rows)] = boson_block(PolynomialBlock.of(columns), (s,))
     for j, g in enumerate(columns):
         single = quantum_bound(g, s)
         assert bits(values[j]) == bits(single.value)
@@ -80,10 +86,15 @@ def test_boson_columns_match_single_calls(columns, s):
 
 @pytest.mark.parametrize("columns, s", BLOCKS, ids=IDS)
 def test_lp_columns_match_single_calls(columns, s):
-    values, primal, dual, residuals = lp_block(PolynomialBlock.of(columns), s)
+    block = PolynomialBlock.of(columns)
+    [(values, rows)] = lp_block(block, (s,))
+    [(c, primal, dual, residuals, leaving)] = solved(block, s)
+    assert np.array_equal(bits(values), bits(c))
+    assert np.array_equal(rows, leaving)
     for j, g in enumerate(columns):
         single = lower_bound_lp(g, s)
         assert bits(values[j]) == bits(single.value)
+        assert tuple(composition_array(s, g.d)[rows[j]].tolist()) == single.argmin
         column = {key: value[j] for key, value in residuals.items()}
         assert hexed(column) == hexed(single.diagnostics["residuals"])
         assert bits(primal[-1, j]) == bits(single.certificate["c"])
@@ -108,9 +119,9 @@ def test_lift_and_lp_do_not_depend_on_the_term_order():
     block = PolynomialBlock.of([forward, backward])
     assert block.terms == tuple(comps)
     for s in (3, 5, 8):
-        values, _ = oracle_block(block, s)
+        [(values, _)] = oracle_block(block, (s,))
         assert bits(values[1]) == bits(oracle_bound(backward, s).value)
-        assert bits(lp_block(block, s)[0][1]) == bits(lower_bound_lp(backward, s).value)
+        assert bits(lp_block(block, (s,))[0][0][1]) == bits(lower_bound_lp(backward, s).value)
 
 
 def test_block_of_one_shape():
@@ -159,7 +170,7 @@ def test_frontier_residuals_are_pinned(g, s, value, residuals):
     assert hexed(single.diagnostics["residuals"]) == residuals
     # and the same as a column among others that solve there
     block = PolynomialBlock.of([CROSS, g, two_face_witness(3)])
-    values, _, _, block_residuals = lp_block(block, s)
+    [(values, _, _, block_residuals, _)] = solved(block, s)
     assert values[1].hex() == value
     assert hexed({key: v[1] for key, v in block_residuals.items()}) == residuals
 
@@ -213,15 +224,15 @@ class TestOneBadColumn:
     def test_lift_overflow_is_the_single_calls_domain_error(self):
         block = PolynomialBlock.of([*quadratics(3, 2, 1), LIFT_OVERFLOW, *quadratics(3, 2, 2)])
         error, _ = same_error(
-            lambda: oracle_block(block, 4), lambda: oracle_bound(LIFT_OVERFLOW, 4), DomainError
+            lambda: oracle_block(block, (4,)), lambda: oracle_bound(LIFT_OVERFLOW, 4), DomainError
         )
         assert "s=4" in str(error)
-        assert oracle_block(block, 3)[0][2] == oracle_bound(LIFT_OVERFLOW, 3).value
+        assert oracle_block(block, (3,))[0][0][2] == oracle_bound(LIFT_OVERFLOW, 3).value
 
     def test_boson_overflow_is_the_single_calls_domain_error(self):
         block = PolynomialBlock.of([*quadratics(3, 3, 3), BOSON_OVERFLOW])
         same_error(
-            lambda: boson_block(block, 3), lambda: quantum_bound(BOSON_OVERFLOW, 3), DomainError
+            lambda: boson_block(block, (3,)), lambda: quantum_bound(BOSON_OVERFLOW, 3), DomainError
         )
 
     def test_lp_validation_failure_is_the_single_calls_solver_failure(self):
@@ -229,7 +240,7 @@ class TestOneBadColumn:
         past = two_face_witness(3)
         block = PolynomialBlock.of([CROSS, past, CROSS])
         block_error, single_error = same_error(
-            lambda: lp_block(block, 24), lambda: lower_bound_lp(past, 24), SolverFailure
+            lambda: lp_block(block, (24,)), lambda: lower_bound_lp(past, 24), SolverFailure
         )
         assert block_error.diagnostics == single_error.diagnostics
         assert block_error.diagnostics["primal"] > 1e-8
@@ -240,7 +251,7 @@ class TestOneBadColumn:
         for first, second in ((witness, other), (other, witness)):
             block = PolynomialBlock.of([CROSS, first, second])
             same_error(
-                lambda: lp_block(block, 24), lambda: lower_bound_lp(first, 24), SolverFailure
+                lambda: lp_block(block, (24,)), lambda: lower_bound_lp(first, 24), SolverFailure
             )
         # an uncertified column and an overflowing one: whichever comes first is named
         overflow = SimplexPolynomial(3, 2, {(2, 0, 0): 1e308, (0, 0, 2): 1e308})
@@ -249,10 +260,10 @@ class TestOneBadColumn:
             (overflow, LP_UNCERTIFIED, DomainError),
         ):
             block = PolynomialBlock.of([*quadratics(3, 2, 6), first, second])
-            same_error(lambda: lp_block(block, 2), lambda: lower_bound_lp(first, 2), kind)
+            same_error(lambda: lp_block(block, (2,)), lambda: lower_bound_lp(first, 2), kind)
         block = PolynomialBlock.of([*quadratics(2, 2, 5), LP_OVERFLOW, sum_of_squares(2)])
         error, _ = same_error(
-            lambda: lp_block(block, 2), lambda: lower_bound_lp(LP_OVERFLOW, 2), DomainError
+            lambda: lp_block(block, (2,)), lambda: lower_bound_lp(LP_OVERFLOW, 2), DomainError
         )
         assert str(error) == (
             "the cone LP at length s=2 overflows: its certificate exceeds the float range"
@@ -363,7 +374,7 @@ def test_several_lengths_are_the_one_length_calls(route, columns, lengths):
     results = route(block, lengths)
     assert len(results) == len(lengths)
     for s, (values, rows) in zip(lengths, results):
-        single_values, single_rows = route(block, s)
+        [(single_values, single_rows)] = route(block, (s,))
         assert np.array_equal(bits(values), bits(single_values))
         assert np.array_equal(rows, single_rows)
 
@@ -371,16 +382,20 @@ def test_several_lengths_are_the_one_length_calls(route, columns, lengths):
 @pytest.mark.parametrize("columns, lengths", MULTI, ids=MULTI_IDS)
 def test_the_lp_over_several_lengths_is_the_one_length_solves(columns, lengths):
     block = PolynomialBlock.of(columns)
-    results = lp_block(block, lengths)
+    results = solved(block, *lengths)
     assert len(results) == len(lengths)
-    for s, (values, primal, dual, residuals) in zip(lengths, results):
-        single = lp_block(block, s)
+    for (values, rows), result in zip(lp_block(block, lengths), results):
+        assert np.array_equal(bits(values), bits(result[0]))
+        assert np.array_equal(rows, result[4])
+    for s, (values, primal, dual, residuals, rows) in zip(lengths, results):
+        [single] = solved(block, s)
         assert np.array_equal(bits(values), bits(single[0]))
         assert np.array_equal(bits(primal), bits(single[1]))
         assert np.array_equal(bits(dual), bits(single[2]))
         assert residuals.keys() == single[3].keys()
         for key, value in residuals.items():
             assert np.array_equal(bits(value), bits(single[3][key]))
+        assert np.array_equal(rows, single[4])
 
 
 def test_a_list_or_range_of_lengths_is_several():
@@ -392,9 +407,12 @@ def test_a_list_or_range_of_lengths_is_several():
         for (values, rows), (want, want_rows) in zip(got, expected):
             assert np.array_equal(bits(values), bits(want))
             assert np.array_equal(rows, want_rows)
-    # a tuple of one is a list of one
+    # one length, as a list or a range, is a list of one
     [(values, rows)] = boson_block(block, (3,))
-    assert np.array_equal(bits(values), bits(boson_block(block, 3)[0]))
+    for lengths in ([3], range(3, 4)):
+        [(got, got_rows)] = boson_block(block, lengths)
+        assert np.array_equal(bits(got), bits(values))
+        assert np.array_equal(got_rows, rows)
 
 
 @pytest.mark.parametrize("route", [oracle_block, boson_block, lp_block])
@@ -418,7 +436,7 @@ class TestTheFirstFailingLength:
         block = PolynomialBlock.of([CROSS, other, witness])
         for lengths, first in (((24, 18), 24), ((18, 24), 18), ((5, 24, 18), 24)):
             error, single = same_error(
-                lambda: lp_block(block, lengths), lambda: lp_block(block, first), SolverFailure
+                lambda: lp_block(block, lengths), lambda: lp_block(block, (first,)), SolverFailure
             )
             assert error.diagnostics == single.diagnostics
         # at s=24 the first failing column is named, as one call names it
@@ -432,13 +450,39 @@ class TestTheFirstFailingLength:
         block = PolynomialBlock.of([*quadratics(2, 2, 5), LP_OVERFLOW])
         for lengths in ((3, 2), (5, 3, 2)):
             error, _ = same_error(
-                lambda: lp_block(block, lengths), lambda: lp_block(block, lengths[0]), DomainError
+                lambda: lp_block(block, lengths), lambda: lp_block(block, lengths[:1]), DomainError
             )
             assert f"cone LP at length s={lengths[0]} overflows" in str(error)
 
     def test_the_oracle_names_the_first_length_whose_lift_overflows(self):
         block = PolynomialBlock.of([*quadratics(3, 2, 1), LIFT_OVERFLOW])
         same_error(
-            lambda: oracle_block(block, (2, 3, 5, 4)), lambda: oracle_block(block, 5), DomainError
+            lambda: oracle_block(block, (2, 3, 5, 4)),
+            lambda: oracle_block(block, (5,)),
+            DomainError,
         )
         assert len(oracle_block(block, (3, 2))) == 2
+
+
+ROUTES = {"oracle": oracle_block, "lp": lp_block, "boson": boson_block}
+
+
+@pytest.mark.parametrize("columns, lengths", MULTI, ids=MULTI_IDS)
+def test_every_route_returns_values_and_rows_per_length(columns, lengths):
+    block = PolynomialBlock.of(columns)
+    results = {name: route(block, lengths) for name, route in ROUTES.items()}
+    for name, pairs in results.items():
+        assert isinstance(pairs, list) and len(pairs) == len(lengths), name
+        for s, (values, rows) in zip(lengths, pairs):
+            assert values.shape == rows.shape == (block.size,), name
+            assert values.dtype == np.float64 and rows.dtype.kind == "i", name
+            assert np.all((0 <= rows) & (rows < len(composition_array(s, block.d)))), name
+    for s, (_, lp_rows), (_, oracle_rows) in zip(lengths, results["lp"], results["oracle"]):
+        urns = urn_values(block, s)
+        for j, g in enumerate(columns):
+            argmin = tuple(composition_array(s, g.d)[lp_rows[j]].tolist())
+            assert argmin == lower_bound_lp(g, s).argmin
+            # where the minimum is unique, the LP leaves at the oracle's urn
+            column = np.sort(urns[:, j])
+            if len(column) == 1 or column[1] - column[0] > 1e-9 * np.abs(column).max():
+                assert lp_rows[j] == oracle_rows[j]

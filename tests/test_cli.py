@@ -472,9 +472,10 @@ class TestLiftMutant:
 
     The sqrt mutant weights each lift composition by the square root of its
     orbit size; the term-major mutant is term_major_lift_block, in place of
-    the lift_block the oracle calls.  Only the oracle lifts: the cone LP
-    reduces g itself and the boson route sums falling factorials, so the
-    oracle alone is wrong, and each route still answers on its own.
+    the lift the oracle calls (polynomial._lift, below lift_block).  Only
+    the oracle lifts: the cone LP reduces g itself and the boson route sums
+    falling factorials, so the oracle alone is wrong, and each route still
+    answers on its own.
     """
 
     @pytest.fixture
@@ -494,7 +495,7 @@ class TestLiftMutant:
             request.getfixturevalue("sqrt_lift")
         else:
             for module in (finex.polynomial, finex.exchangeable):
-                monkeypatch.setattr(module, "lift_block", term_major_lift_block)
+                monkeypatch.setattr(module, "_lift", term_major_lift_block)
 
     @pytest.fixture
     def psd_path(self, tmp_path):
@@ -589,8 +590,10 @@ class TestLiftMutant:
 class TestOneLiftPerLength:
     """The oracle lifts once per length, and the LP and boson routes never do.
 
-    Every lift goes through lift_block (homogenize calls it too), so the
-    count wraps it in each finex module that binds the name.
+    Every lift goes through polynomial._lift: lift_block calls it after
+    checking the length (homogenize through lift_block), and the oracle's
+    urn_values after the route has checked its lengths.  So the count wraps
+    it in each finex module that binds the name.
     """
 
     @pytest.fixture
@@ -602,7 +605,7 @@ class TestOneLiftPerLength:
         import finex.polynomial
 
         lengths = []
-        real = finex.polynomial.lift_block
+        real = finex.polynomial._lift
 
         def counting(block, s):
             lengths.append(s)
@@ -610,8 +613,8 @@ class TestOneLiftPerLength:
 
         modules = (finex.polynomial, finex.exchangeable, finex.bernstein_lp, finex.boson, finex.cli)
         for module in modules:
-            if hasattr(module, "lift_block"):
-                monkeypatch.setattr(module, "lift_block", counting)
+            if hasattr(module, "_lift"):
+                monkeypatch.setattr(module, "_lift", counting)
         return lengths
 
     def test_bound_all_lifts_once(self, lifts, witness_path, capsys):

@@ -8,7 +8,8 @@ file, the way the commands pass them, and must end in DomainError; through
 Two scans keep the rules in one place: json.load(s) is called in one
 function of the package, and the CLI reads input files in one function.
 Sizes past what the composition tables can hold (about 330 faces, or a
-length past numpy's largest array) end in CapacityError, and exit 2 alike.
+length past numpy's largest array, also at d=1, where there is one count
+vector) end in CapacityError, and exit 2 alike.
 """
 
 import ast
@@ -25,7 +26,7 @@ from finex.cli import ROUTES, main
 from finex.errors import CapacityError, DomainError
 from finex.exchangeable import oracle_bound
 from finex.multiindex import composition_array, compositions
-from finex.polynomial import SimplexPolynomial
+from finex.polynomial import PolynomialBlock, SimplexPolynomial, lift_block
 
 # each format's reader and a valid document with %s where a number belongs
 READERS = {
@@ -161,6 +162,37 @@ def test_the_tables_refuse_a_length_past_numpys_largest_array():
     for route in (oracle_bound, lower_bound_lp, quantum_bound):
         with pytest.raises(CapacityError, match="past the largest array numpy can hold"):
             route(g, HUGE)
+
+
+def past_the_degree_tables(s):
+    return f"the tables with a row per degree 0..{s} pass the largest array numpy can hold"
+
+
+# at d=1 there is one count vector, so only the tables with a row per degree
+# refuse: a length past int64, and the orbit sizes' binomials at 2**63 - 1
+@pytest.mark.parametrize("s", [HUGE, 2**63 - 1], ids=["1e20", "int64-max"])
+@pytest.mark.parametrize(
+    "argv",
+    [*(["bound", "--method", method] for method in ROUTES + ("all",)), ["curve"]],
+    ids=[*ROUTES, "all", "curve"],
+)
+def test_a_d1_length_past_the_degree_tables_exits_2(tmp_path, capsys, argv, s):
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps({"d": 1, "terms": [{"counts": [2], "coeff": 1.0}]}))
+    lengths = ["--s-min", str(s), "--s-max", str(s)] if argv == ["curve"] else ["--s", str(s)]
+    code, out, err = _run([*argv, *lengths, "--observable", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {past_the_degree_tables(s)}\n")
+
+
+def test_lift_block_refuses_a_degree_past_the_tables_before_reading_its_terms():
+    # term_counts casts the counts to int64, which a count of 10**20 overflows
+    for g, message in (
+        (SimplexPolynomial(2, HUGE, {(HUGE, 0): 1.0}), PAST_NUMPY),
+        (SimplexPolynomial(1, HUGE, {(HUGE,): 1.0}), past_the_degree_tables(HUGE)),
+    ):
+        with pytest.raises(CapacityError) as caught:
+            lift_block(PolynomialBlock.of([g]), HUGE)
+        assert str(caught.value) == message
 
 
 def test_occupation_index_refuses_entries_that_are_not_integers():

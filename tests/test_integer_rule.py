@@ -107,14 +107,16 @@ BLOCK = PolynomialBlock.of([monomial((1, 0, 0, 0) + (0,) * 7)])
     "route", [oracle_block, boson_block, _right_hand_sides, lp_block, lift_block]
 )
 def test_block_routes_refuse_a_non_integer_length(route, s):
-    route(BLOCK, 4)  # warm every cache the integer length reads
+    # the routes take a sequence of lengths; _right_hand_sides and lift_block take one
+    one = (lambda s: s) if route in (_right_hand_sides, lift_block) else (lambda s: (s,))
+    route(BLOCK, one(4))  # warm every cache the integer length reads
     with pytest.raises(DomainError, match="sequence length must be an integer"):
-        route(BLOCK, s)
+        route(BLOCK, one(s))
 
 
 def test_block_length_below_the_degree_keeps_its_message():
     with pytest.raises(DomainError, match=r"sequence length 0 < polynomial degree 1"):
-        oracle_block(BLOCK, 0)
+        oracle_block(BLOCK, (0,))
 
 
 @pytest.mark.parametrize("r", [1.0, True, -1])
@@ -133,7 +135,7 @@ def test_integer_lengths_still_work():
     dist = urn_distribution((2, 1))
     assert marginalize(dist, np.int64(1)).r == 1
     assert len(sample(dist, np.int64(3), 0)) == 3
-    assert oracle_block(BLOCK, np.int64(4))[0][0] == oracle_block(BLOCK, 4)[0][0]
+    assert oracle_block(BLOCK, (np.int64(4),))[0][0][0] == oracle_block(BLOCK, (4,))[0][0][0]
 
 
 def test_serializers_write_numpy_integers_as_json_integers():

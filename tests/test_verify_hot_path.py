@@ -91,7 +91,7 @@ def reference_route_agreement(observables, tol):
         block = PolynomialBlock.of([observables[i] for i in members])
         for k, s in enumerate(lengths):
             for r, method in enumerate(ROUTES):
-                values[members, k, r] = routes[method](block, s)[0]
+                values[members, k, r] = routes[method](block, (s,))[0][0]
     spreads = values.max(axis=2) - values.min(axis=2)
     worst, detail = max(0.0, float(spreads.max())), None
     if worst > 0.0:
