@@ -11,8 +11,8 @@ their agreement tests the classical/quantum equivalence instead of
 assuming it.  The LP writes no dense constraint matrix.
 
 Each route evaluates a block of observables of one shape
-(polynomial.PolynomialBlock: a term list and a coefficient column per
-observable) at a sequence of lengths: oracle_block, lp_block and
+(polynomial.PolynomialBlock: a coefficient column per observable, in
+composition order) at a sequence of lengths: oracle_block, lp_block and
 boson_block.  Each returns one (values, rows) pair per length, each
 column's minimum and its row in compositions(s, d).  A single observable
 at one length is a block of one at (s,); oracle_bound, lower_bound_lp and

@@ -210,6 +210,8 @@ def _sweep(maps: _Sweeps, x: np.ndarray, combine, transpose: bool = False) -> np
     the sentinel, and adds 0 there (k = s') or nothing.
     """
     neighbours = maps.down if transpose else maps.up
+    if not len(neighbours):  # d = 1: no face but d, and B is the identity
+        return x
     for m in maps.bounds[1:] if transpose else maps.bounds[-2::-1]:
         head = x[:m]  # np.add.reduce is ndarray.sum without its Python wrapper
         combine(head, np.add.reduce(x.take(neighbours[:, :m], axis=0), axis=0), out=head)

@@ -302,7 +302,8 @@ def boson_block(block: PolynomialBlock, lengths) -> list[tuple[np.ndarray, np.nd
     Freedman's (1980) formula for sampling k of the s balls without
     replacement.  It is the urn oracle's vector computed another way.  The
     falling-factorial product of each term is formed once and multiplies
-    that term's row of coefficients, the terms summed in the block's order.
+    that term's row of coefficients, the terms summed in composition
+    order, so each column reads bitwise what it reads alone.
     The lengths are checked first (check_lengths); their occupation bases
     are stacked into one diagonal, each length's rows divided by its own
     s^(k falling) and minimized apart.  Returns one (values, rows) pair

@@ -206,43 +206,22 @@ def _seeded_quadratics(rng) -> list[SimplexPolynomial]:
     return out
 
 
-def _route_values(blocks: list, count: int, groups: list) -> np.ndarray:
-    """values[i, k, r]: route r on observable i at the k-th length of the groups, in turn.
-
-    blocks pairs each block with its observables' indices.  Each route
-    takes a block at one group of lengths per call, in (block, group,
-    route) order.
-    """
-    values = np.zeros((count, sum(len(group) for group in groups), len(ROUTES)))
-    for members, block in blocks:
-        k = 0
-        for group in groups:
-            for r, method in enumerate(ROUTES):
-                values[members, k : k + len(group), r] = _block_values(method, block, group).T
-            k += len(group)
-    return values
-
-
 def _route_agreement(observables: list[SimplexPolynomial], tol: float):
     """The routes' worst spread over the observables at s = 2..5, and where it is.
 
     The observables of one d form one block, which each route evaluates at
-    all four lengths in one call.  Should a call fail, the calls are made
-    again one length at a time, so that the error raised is the first in
-    (d, s, route) order.  The worst case is the first largest spread in
+    all four lengths in one call, so an error raised is the first in
+    (d, route, s) order.  The worst case is the first largest spread in
     the observables' order, then by length; the route named is the one
     farthest from the other two (the largest sum of distances to them).
     """
     lengths = (2, 3, 4, 5)
-    blocks = []
+    values = np.zeros((len(observables), len(lengths), len(ROUTES)))
     for d in sorted({g.d for g in observables}):
         members = [i for i, g in enumerate(observables) if g.d == d]
-        blocks.append((members, PolynomialBlock.of([observables[i] for i in members])))
-    try:
-        values = _route_values(blocks, len(observables), [lengths])
-    except FinexError:
-        _route_values(blocks, len(observables), [(s,) for s in lengths])
-        raise
+        block = PolynomialBlock.of([observables[i] for i in members])
+        for r, method in enumerate(ROUTES):
+            values[members, :, r] = _block_values(method, block, lengths).T
     spreads = values.max(axis=2) - values.min(axis=2)
     worst, detail = max(0.0, float(spreads.max())), None
     if worst > 0.0:

@@ -115,30 +115,29 @@ def constant(value: float, d: int) -> SimplexPolynomial:
 
 @dataclass(frozen=True, eq=False)
 class PolynomialBlock:
-    """B observables of one shape (d, degree) as a term list and a (terms x B) matrix.
+    """B observables of one shape (d, degree) as an N(degree) x B coefficient matrix.
 
-    Column j of coefficients holds observable j's coefficient on each of
-    terms, 0 where it has no such term.  Every route evaluates a block,
-    one value per column, and a single observable is a block of one
-    (PolynomialBlock.of([g])).  Every route takes a sequence of lengths
-    (a tuple, list or range), checks them once (check_lengths) and
-    returns a list with one (values, rows) pair per length, in the order
-    given: each column's minimum and its row in compositions(s, d), each
-    pair bitwise what a call at that length alone returns.  The boson
-    route sums its terms in the block's order, so a column whose own terms
-    come in that order reads bitwise what it reads alone.  Build blocks
-    with PolynomialBlock.of, which takes validated polynomials; the matrix
-    is read-only.
+    Column j of coefficient_matrix is observable j's coefficient_vector,
+    its coefficients in compositions(degree, d) order, 0 where it has no
+    such term.  Every route evaluates a block, one value per column, and a
+    single observable is a block of one (PolynomialBlock.of([g])).  Every
+    route takes a sequence of lengths (a tuple, list or range), checks
+    them once (check_lengths) and returns a list with one (values, rows)
+    pair per length, in the order given: each column's minimum and its row
+    in compositions(s, d), each pair bitwise what a call at that length
+    alone returns.  Every route reads the terms in composition order, so
+    each column reads bitwise what it reads alone, whatever order its
+    terms came in.  Build blocks with PolynomialBlock.of, which takes
+    validated polynomials; every array is read-only.
     """
 
     d: int
     degree: int
-    terms: tuple[CountVector, ...]
-    coefficients: np.ndarray
+    coefficient_matrix: np.ndarray
 
     @classmethod
     def of(cls, polynomials) -> PolynomialBlock:
-        """Stack observables of one shape; the terms in the order they are first met."""
+        """Stack the coefficient_vectors of observables of one shape, one column each."""
         polynomials = list(polynomials)
         if not polynomials:
             raise DomainError("a block needs at least one observable")
@@ -149,24 +148,14 @@ class PolynomialBlock:
                     f"a block holds one shape: d={g.d}, degree {g.degree} "
                     f"after d={d}, degree {degree}"
                 )
-        # every (term, column) pair in one put, at its row-major offset
-        # row * size + column; a column's terms are distinct keys
-        size = len(polynomials)
-        position: dict[CountVector, int] = {}
-        offsets = [
-            position.setdefault(n, len(position)) * size + j
-            for j, g in enumerate(polynomials)
-            for n in g.terms
-        ]
-        coefficients = np.zeros((len(position), size))
-        np.put(coefficients, offsets, [c for g in polynomials for c in g.terms.values()])
-        coefficients.setflags(write=False)
-        return cls(d, degree, tuple(position), coefficients)
+        matrix = np.stack([g.coefficient_vector for g in polynomials], axis=1)
+        matrix.setflags(write=False)
+        return cls(d, degree, matrix)
 
     @property
     def size(self) -> int:
         """B, the number of observables."""
-        return self.coefficients.shape[1]
+        return self.coefficient_matrix.shape[1]
 
     def check_lengths(self, lengths) -> tuple[int, ...]:
         """lengths as a tuple, at least one, each an integer >= degree; run before any cache."""
@@ -181,15 +170,26 @@ class PolynomialBlock:
         return lengths
 
     @cached_property
-    def term_counts(self) -> np.ndarray:
-        """terms as a (terms x d) int64 array."""
-        return np.array(self.terms, dtype=np.int64).reshape(-1, self.d)
+    def _term_rows(self) -> np.ndarray:
+        """The rows of coefficient_matrix with a nonzero entry, the terms of some column."""
+        return np.flatnonzero(self.coefficient_matrix.any(axis=1))
 
     @cached_property
-    def coefficient_matrix(self) -> np.ndarray:
-        """Coefficients in compositions(degree, d) order, one column per observable; read-only."""
-        out = np.zeros((table_rows(self.degree, self.d), self.size))
-        out[ranks(self.term_counts, self.degree)] = self.coefficients
+    def term_counts(self) -> np.ndarray:
+        """The terms' count vectors, in composition order, as a (terms x d) int64 array; read-only."""
+        out = composition_array(self.degree, self.d)[self._term_rows]
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def terms(self) -> tuple[CountVector, ...]:
+        """term_counts as tuples."""
+        return tuple(map(tuple, self.term_counts.tolist()))
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """coefficient_matrix's rows at the terms, a (terms x B) array; read-only."""
+        out = self.coefficient_matrix[self._term_rows]
         out.setflags(write=False)
         return out
 
@@ -210,7 +210,7 @@ def _lift(block: PolynomialBlock, target_degree: int) -> np.ndarray:
     """lift_block at a target_degree already checked, as a route checks its lengths."""
     lift = target_degree - block.degree
     d, size = block.d, block.size
-    # sized first: a degree past the tables is refused before term_counts casts it to int64
+    # sized first: a target degree past the tables is refused by name, before the lift's tables
     values = np.zeros(table_rows(target_degree, d) * size)
     term_counts, coeffs = block.term_counts, block.coefficients
     lift_counts, weights = composition_array(lift, d), orbit_sizes(lift, d)

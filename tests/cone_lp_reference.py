@@ -41,8 +41,10 @@ def reference_composition_array(r, d):
 
 
 def reference_orbit_sizes(r, d):
+    # the top level listed afresh, not kept: the orbit-size grid lists 3.8 million rows
+    counts = np.array(reference_compositions.__wrapped__(r, d), dtype=np.int64).reshape(-1, d)
     factorials = np.array([math.factorial(k) for k in range(r + 1)], dtype=object)
-    exact = factorials[r] // np.prod(factorials[reference_composition_array(r, d)], axis=1)
+    exact = factorials[r] // np.prod(factorials[counts], axis=1)
     return exact.astype(np.float64)
 
 

@@ -109,19 +109,35 @@ def test_lift_columns_match_homogenize(columns, s):
 
 
 def test_lift_and_lp_do_not_depend_on_the_term_order():
-    # one lift composition and the target fix the term, and the LP reads
-    # the coefficients in composition order, so a column whose terms come
-    # in another order than the block's still reads what it reads alone
-    rng = np.random.default_rng(5)
+    # a block is its coefficient matrix in composition order, and every route
+    # reads its terms in that order, so a column whose terms come in any
+    # order, reversed or random, full or sparse, reads bitwise what it reads alone
+    # (with this seed, summing the boson's terms in the first column's order
+    # moves the last bit of the reversed and the shuffled column at s=5)
+    rng = np.random.default_rng(39)
     comps = compositions(3, 3)
     forward = SimplexPolynomial(3, 3, {n: float(rng.normal()) for n in comps})
-    backward = SimplexPolynomial(3, 3, dict(reversed(list(forward.terms.items()))))
-    block = PolynomialBlock.of([forward, backward])
+    items = list(forward.terms.items())
+    columns = [
+        forward,
+        SimplexPolynomial(3, 3, dict(reversed(items))),
+        SimplexPolynomial(3, 3, dict(items[k] for k in rng.permutation(len(items)))),
+        SimplexPolynomial(3, 3, dict(items[k] for k in rng.permutation(len(items))[:4])),
+        SimplexPolynomial(3, 3, dict(reversed(items[2:7]))),
+    ]
+    block = PolynomialBlock.of(columns)
     assert block.terms == tuple(comps)
+    singles = {oracle_block: oracle_bound, lp_block: lower_bound_lp, boson_block: quantum_bound}
     for s in (3, 5, 8):
-        [(values, _)] = oracle_block(block, (s,))
-        assert bits(values[1]) == bits(oracle_bound(backward, s).value)
-        assert bits(lp_block(block, (s,))[0][0][1]) == bits(lower_bound_lp(backward, s).value)
+        lifted = lift_block(block, s)
+        for j, g in enumerate(columns):
+            assert np.array_equal(bits(lifted[:, j]), bits(homogenize(g, s).coefficient_vector))
+        for route, single in singles.items():
+            [(values, rows)] = route(block, (s,))
+            for j, g in enumerate(columns):
+                alone = single(g, s)
+                assert bits(values[j]) == bits(alone.value), (route.__name__, s, j)
+                assert tuple(composition_array(s, 3)[rows[j]].tolist()) == alone.argmin
 
 
 def test_block_of_one_shape():
@@ -322,10 +338,12 @@ class TestVerifyWithABadObservable:
         assert single.value.diagnostics["primal"] > 1e-8
 
     def test_lp_overflow_exits_2(self, bad_observable, capsys):
+        # each route runs at s = 2..5 before the next, and the oracle, first,
+        # overflows in the lift to s=4 before the LP runs at all
         bad_observable(LP_OVERFLOW)
         code, err = self.run_verify(capsys)
         with pytest.raises(DomainError) as single:
-            lower_bound_lp(LP_OVERFLOW, 2)
+            oracle_bound(LP_OVERFLOW, 4)
         assert code == 2
         assert err == f"error: {single.value}\n"
 

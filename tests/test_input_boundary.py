@@ -14,6 +14,7 @@ vector) end in CapacityError, and exit 2 alike.
 
 import ast
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -184,8 +185,21 @@ def test_a_d1_length_past_the_degree_tables_exits_2(tmp_path, capsys, argv, s):
     assert (code, out, err) == (2, "", f"error: {past_the_degree_tables(s)}\n")
 
 
+@pytest.mark.parametrize("route", [oracle_bound, lower_bound_lp, quantum_bound])
+def test_a_d1_observable_at_a_long_length_is_one_count_vector(route):
+    # theta_1^2 is 1 on the one-point simplex.  At d=1 there is one count vector,
+    # so no route may loop in Python over the s sweep steps or the degrees to s
+    g = polynomial.from_json('{"d": 1, "terms": [{"counts": [2], "coeff": 1.0}]}')
+    start = time.perf_counter()
+    result = route(g, 200_000)
+    assert time.perf_counter() - start < 0.5
+    assert result.value == 1.0
+    assert result.argmin == (200_000,)
+
+
 def test_lift_block_refuses_a_degree_past_the_tables_before_reading_its_terms():
-    # term_counts casts the counts to int64, which a count of 10**20 overflows
+    # a count of 10**20 overflows int64; the block's coefficient vector is sized
+    # by the tables first, so PolynomialBlock.of refuses it before any count is cast
     for g, message in (
         (SimplexPolynomial(2, HUGE, {(HUGE, 0): 1.0}), PAST_NUMPY),
         (SimplexPolynomial(1, HUGE, {(HUGE,): 1.0}), past_the_degree_tables(HUGE)),

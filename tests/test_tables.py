@@ -10,6 +10,7 @@ transposes; each sweep must reproduce, exactly, B from the column-stack
 triplets the LP once cached (reference_structure).
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -26,7 +27,9 @@ from cone_lp_reference import (
     swept,
 )
 
+from finex import multiindex
 from finex.bernstein_lp import _placement, _solve, _sweeps, assemble, lower_bound_lp
+from finex.errors import DomainError
 from finex.multiindex import composition_array, compositions, orbit_sizes, ranks
 from finex.polynomial import SimplexPolynomial, sum_of_squares, two_face_witness
 
@@ -98,6 +101,32 @@ def test_orbit_sizes_match_across_the_int64_boundary(r, d):
 )
 def test_orbit_sizes_match_where_the_binomials_overflow(r, d):
     assert_bitwise(orbit_sizes(r, d), reference_orbit_sizes(r, d))
+
+
+# every length to 59, then 100, 170 and 171 (171! passes the float range), 300,
+# 1029 and 1030 (C(1030, 515) passes it too), d <= 5 and N <= 3e5: 307 shapes
+ORBIT_GRID = [
+    (r, d)
+    for r in [*range(60), 100, 170, 171, 300, 1029, 1030]
+    for d in range(1, 6)
+    if math.comb(r + d - 1, d - 1) <= 300_000
+]
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_orbit_sizes_match_the_exact_reference_on_the_grid(d):
+    try:
+        for r in [r for r, dd in ORBIT_GRID if dd == d]:
+            try:
+                expected = reference_orbit_sizes(r, d)
+            except OverflowError:  # an exact multinomial past the float range
+                with pytest.raises(DomainError, match="exceeds the float range"):
+                    orbit_sizes(r, d)
+                continue
+            assert_bitwise(orbit_sizes(r, d), expected)
+    finally:  # the grid's tables would hold 150 MB for the rest of the session
+        orbit_sizes.cache_clear()
+        multiindex._composition_array.cache_clear()
 
 
 STRUCTURE_SHAPES = [(d, s) for d in range(1, 7) for s in range(11)] + [(3, 16)]

@@ -1,10 +1,10 @@
 """verify's hot path pinned against the formulations it replaced.
 
 `_seeded_quadratics` draws each observable's coefficients as one vector
-and `PolynomialBlock.of` fills its matrix with one scatter over every
-(term, column) pair.  The references below are the earlier code, kept as
-it was: one scalar draw per term through the validating constructor and
-one assignment per column.  Every output must match them bit for bit, and
+and `PolynomialBlock.of` stacks the observables' coefficient vectors.  The
+references below are the earlier code: one scalar draw per term through
+the validating constructor, and one assignment per column (its terms now
+in composition order).  Every output must match them bit for bit, and
 the generator must end in the same state, so the dense rows that draw
 after the quadratics draw the same numbers.
 
@@ -116,14 +116,18 @@ def test_route_agreement_matches_one_call_per_length(seed):
 
 
 def reference_block(polynomials):
-    position = {}
-    for g in polynomials:
-        for n in g.terms:
-            position.setdefault(n, len(position))
-    coefficients = np.zeros((len(position), len(polynomials)))
+    """The columns' terms in composition order, and every coefficient, one assignment per column.
+
+    Returns the terms, their (terms x B) coefficients and the whole
+    (N x B) matrix, one row per composition.
+    """
+    comps = compositions(polynomials[0].degree, polynomials[0].d)
+    terms = tuple(n for n in comps if any(n in g.terms for g in polynomials))
+    position = {n: k for k, n in enumerate(comps)}
+    matrix = np.zeros((len(comps), len(polynomials)))
     for j, g in enumerate(polynomials):
-        coefficients[[position[n] for n in g.terms], j] = list(g.terms.values())
-    return tuple(position), coefficients
+        matrix[[position[n] for n in g.terms], j] = list(g.terms.values())
+    return terms, matrix[[position[n] for n in terms]], matrix
 
 
 def block_cases():
@@ -149,11 +153,14 @@ def block_cases():
 @pytest.mark.parametrize("columns", block_cases())
 def test_block_matches_one_assignment_per_column(columns):
     block = PolynomialBlock.of(columns)
-    terms, coefficients = reference_block(columns)
+    terms, coefficients, matrix = reference_block(columns)
     assert block.terms == terms
-    assert block.coefficients.shape == coefficients.shape
-    assert np.array_equal(bits(block.coefficients), bits(coefficients))
-    assert not block.coefficients.flags.writeable
+    assert np.array_equal(block.term_counts, np.array(terms, dtype=np.int64).reshape(-1, block.d))
+    for computed, expected in ((block.coefficients, coefficients), (block.coefficient_matrix, matrix)):
+        assert computed.shape == expected.shape
+        assert np.array_equal(bits(computed), bits(expected))
+    for array in (block.coefficients, block.coefficient_matrix, block.term_counts):
+        assert not array.flags.writeable
 
 
 # a few ulps of |B^-1| |b| (over q for c), the scale of each sum's rounding:
