@@ -12,6 +12,11 @@ lifted observable, for a block of observables, one column each
 and the cone LP tests the classical/quantum equivalence instead of
 assuming it.
 
+boson_block caches two read-only tables per length, composition_array(s, d)
+and _falling_factorials(k, s), and nothing per call: a call at several
+lengths stacks their tables for itself, and one at a single length reads
+them in place.
+
 Dense tensor-space objects (symmetrizer, permutation matrices and their
 relabelling tables, dense density matrices) are capped at d**s <= 4096.
 They check the compressed path against dense matrix algebra: the tests
@@ -174,8 +179,8 @@ def relabellings(perms, d: int) -> np.ndarray:
     """rows[i, j]: the row-major index of sequence j reordered by perms[i].
 
     Relabelling the tensor factors by perms[i] maps e_j to e_rows[i, j], so
-    this (k, d**s) table is the permutation_matrices stack without its
-    zeros.  Every permutation has the same length s.
+    row i is permutation_matrix(perms[i], d) without its zeros.  Every
+    permutation has the same length s.
     """
     perms = [tuple(perm) for perm in perms]
     if not perms:
@@ -192,25 +197,15 @@ def relabellings(perms, d: int) -> np.ndarray:
     return d ** np.arange(s - 1, -1, -1) @ _outcomes(s, d)[order]
 
 
-def permutation_matrices(perms, d: int) -> np.ndarray:
-    """Stack of tensor-factor relabellings, one (d**s, d**s) slice per permutation.
-
-    Slice i maps e_seq to e_(seq reordered by perms[i]): one scatter of
-    relabellings(perms, d).
-    """
-    rows = relabellings(perms, d)
-    k, dim = rows.shape
-    p = np.zeros((k, dim, dim))
-    p[np.arange(k)[:, None], rows, np.arange(dim)] = 1.0
-    return p
-
-
 def permutation_matrix(perm, d: int) -> np.ndarray:
     """Tensor-factor relabelling: maps e_seq to e_(seq reordered by perm).
 
-    permutation_matrices for a stack of one.
+    One scatter of relabellings([perm], d).
     """
-    return permutation_matrices([perm], d)[0]
+    rows = relabellings([perm], d)[0]
+    p = np.zeros((len(rows), len(rows)))
+    p[rows, np.arange(len(rows))] = 1.0
+    return p
 
 
 def symmetrizer(s: int, d: int) -> np.ndarray:
@@ -268,26 +263,6 @@ def _falling_factorials(k: int, s: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _diagonal_tables(d: int, k: int, *lengths: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The boson diagonal's tables at the lengths, stacked: (keys, table, offsets).
-
-    Rows offsets[l] to offsets[l + 1] are compositions(lengths[l], d), the
-    lengths in turn; table holds each length's _falling_factorials(k, s)
-    side by side, and keys[t, i] is the column of table that reads entry i
-    of row t at its own length.  Read-only.
-    """
-    counts = [composition_array(s, d) for s in lengths]
-    factorials = [_falling_factorials(k, s) for s in lengths]
-    offsets = (0, *accumulate(len(rows) for rows in counts))
-    starts = accumulate((s + 1 for s in lengths[:-1]), initial=0)
-    keys = np.concatenate([rows + start for rows, start in zip(counts, starts)])
-    table = np.concatenate(factorials, axis=1)
-    for x in (keys, table):
-        x.setflags(write=False)
-    return keys, table, offsets
-
-
 def boson_block(block: PolynomialBlock, lengths) -> list[tuple[np.ndarray, np.ndarray]]:
     """Minimum of Tr(D rho) over boson-symmetric density matrices, for each column and length.
 
@@ -312,7 +287,15 @@ def boson_block(block: PolynomialBlock, lengths) -> list[tuple[np.ndarray, np.nd
     ties.  The first length whose minimum overflows raises.
     """
     lengths = block.check_lengths(lengths)
-    keys, table, offsets = _diagonal_tables(block.d, block.degree, *lengths)
+    counts = [composition_array(s, block.d) for s in lengths]
+    factorials = [_falling_factorials(block.degree, s) for s in lengths]
+    offsets = (0, *accumulate(map(len, counts)))
+    # keys[t, i]: the column of table that reads entry i of row t at its length
+    keys, table = counts[0], factorials[0]
+    if len(lengths) > 1:
+        starts = accumulate((s + 1 for s in lengths[:-1]), initial=0)
+        keys = np.concatenate([rows + start for rows, start in zip(counts, starts)])
+        table = np.concatenate(factorials, axis=1)
     diagonal = np.zeros((len(keys), block.size))
     columns = np.arange(block.size)
     out = []

@@ -180,7 +180,10 @@ def composition_array(r: int, d: int) -> np.ndarray:
     r and d are validated before the cache, which takes True for 1, and the
     table's size by table_rows.  Its build recurses one level per outcome,
     so from about 330 outcomes it outruns Python's recursion limit, which
-    is refused as a CapacityError naming d.
+    is refused as a CapacityError naming d.  Memory runs out first: the
+    build caches every (r', d') tail it reads, about d**4 bytes at r = 2
+    (measured +42 MB of RSS at d = 80 and +208 MB at d = 120), so about
+    12 GB by d = 330.
     """
     table_rows(r, d)
     try:
@@ -219,6 +222,8 @@ def orbit_size(n: CountVector) -> int:
 _INT64_LOG_LIMIT = 62 * math.log(2)
 # C(a, m) with min(m, a - m) >= 34 is at least C(68, 34) > 2^63
 _INT64_BINOMIAL_COLUMNS = 34
+# a multinomial whose log is above this is past the float range
+_FLOAT_LOG_LIMIT = math.log(np.finfo(np.float64).max)
 
 
 @lru_cache(maxsize=None)
@@ -258,15 +263,20 @@ def orbit_sizes(r: int, d: int) -> np.ndarray:
         log_size -= log_factorials[counts[:, i]]
     out = exact.astype(np.float64)
     wide = np.flatnonzero(log_size > _INT64_LOG_LIMIT)
-    if len(wide):
-        factorials = np.array([math.factorial(k) for k in range(r + 1)], dtype=object)
-        try:
+    try:
+        # log r! and the counts' log-factorials each round by at most the bound
+        # above, and the subtractions by no more: a row whose log passes the float
+        # range's by 4 times it overflows, and is refused before any factorial
+        if log_size.max() > _FLOAT_LOG_LIMIT + 4 * r * r * math.log(r + 1) * 2.0**-53:
+            raise OverflowError
+        if len(wide):
+            factorials = np.array([math.factorial(k) for k in range(r + 1)], dtype=object)
             out[wide] = (factorials[r] // np.prod(factorials[counts[wide]], axis=1)).astype(np.float64)
-        except OverflowError as exc:
-            raise DomainError(
-                f"the orbit sizes of length-{r} sequences over d={d} overflow: "
-                "a multinomial exceeds the float range (about 1.8e308)"
-            ) from exc
+    except OverflowError as exc:
+        raise DomainError(
+            f"the orbit sizes of length-{r} sequences over d={d} overflow: "
+            "a multinomial exceeds the float range (about 1.8e308)"
+        ) from exc
     out.setflags(write=False)
     return out
 
@@ -379,20 +389,25 @@ def sequences(r: int, d: int) -> list[Sequence]:
 
 
 def iter_orbit_sequences(n: CountVector) -> Iterator[Sequence]:
-    """The distinct orderings of the multiset described by n, lazily, in lexicographic order."""
+    """The distinct orderings of the multiset described by n, lazily, in lexicographic order.
+
+    Each is the next permutation of the one before (Narayana's step), from the sorted one.
+    """
     validate_counts(n)
-    left = list(n)
+    seq = [t for t, k in enumerate(n) for _ in range(k)]
 
-    def extend(prefix: tuple[int, ...]) -> Iterator[Sequence]:
-        if not any(left):
-            yield prefix
-        for t, k in enumerate(left):
-            if k:
-                left[t] -= 1
-                yield from extend(prefix + (t,))
-                left[t] += 1
+    def walk() -> Iterator[Sequence]:
+        while True:
+            yield tuple(seq)
+            # swap the last ascent's low entry with the last entry above it; reverse the tail
+            i = next((i for i in range(len(seq) - 2, -1, -1) if seq[i] < seq[i + 1]), -1)
+            if i < 0:
+                return
+            j = max(j for j in range(i + 1, len(seq)) if seq[j] > seq[i])
+            seq[i], seq[j] = seq[j], seq[i]
+            seq[i + 1 :] = seq[:i:-1]
 
-    return extend(())
+    return walk()
 
 
 def orbit_sequences(n: CountVector) -> list[Sequence]:

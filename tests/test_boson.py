@@ -1,7 +1,9 @@
 """Symmetric subspace machinery against literal dense tensor algebra."""
 
+import gc
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -18,7 +20,6 @@ from finex.boson import (
     compress,
     compress_hermitian,
     occupation_diagonal,
-    permutation_matrices,
     permutation_matrix,
     quantum_bound,
     relabellings,
@@ -35,6 +36,7 @@ from finex.exchangeable import (
     urn_distribution,
 )
 from finex.multiindex import (
+    composition_array,
     compositions,
     num_compositions,
     orbit_size,
@@ -200,8 +202,8 @@ class TestDenseArguments:
             (permutation_matrix, ((0.0, 1), 2)),
             (permutation_matrix, ((True, False), 2)),
             (permutation_matrix, (((0, 1), (1, 0)), 2)),
-            (permutation_matrices, ([], 2)),
-            (permutation_matrices, ([(0, 1), (0,)], 2)),
+            (relabellings, ([], 2)),
+            (relabellings, ([(0, 1), (0,)], 2)),
         ],
         ids=[
             "symmetrizer-d0",
@@ -223,22 +225,37 @@ class TestDenseArguments:
             build(*args)
 
 
-# every permutation input TestDenseArguments refuses, as the stack it reaches
-# permutation_matrices with (permutation_matrix passes a stack of one)
-BAD_PERMUTATION_STACKS = {
+def permutation_matrices(perms, d):
+    """The stack of permutation_matrix(perm, d) over perms, one call each."""
+    return np.array([permutation_matrix(perm, d) for perm in perms])
+
+
+# every permutation input TestDenseArguments refuses, as a stack of one
+BAD_PERMUTATIONS = {
     "permutation-negative-d": ([(0, 1)], -1),
     "permutation-d0": ([(0, 1)], 0),
     "permutation-float-entry": ([(0.0, 1)], 2),
     "permutation-bool-entries": ([(True, False)], 2),
     "permutation-nested-entries": ([((0, 1), (1, 0))], 2),
-    "stack-empty": ([], 2),
-    "stack-mixed-lengths": ([(0, 1), (0,)], 2),
     "not-a-permutation": ([(0, 0)], 2),
 }
+# and the stacks that no shared relabelling table can hold
+BAD_STACKS = {
+    "stack-empty": ([], 2),
+    "stack-mixed-lengths": ([(0, 1), (0,)], 2),
+}
+BAD_STACK_CASES = [
+    pytest.param(build, perms, d, id=f"{name}-{build.__name__}")
+    for name, (perms, d) in BAD_PERMUTATIONS.items()
+    for build in (relabellings, permutation_matrices)
+] + [
+    pytest.param(relabellings, perms, d, id=f"{name}-relabellings")
+    for name, (perms, d) in BAD_STACKS.items()
+]
 
 
 class TestRelabellings:
-    """relabellings(perms, d) is the row table that permutation_matrices scatters."""
+    """relabellings(perms, d) is the row table that permutation_matrix scatters."""
 
     @pytest.mark.parametrize("s", range(5))
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -265,10 +282,7 @@ class TestRelabellings:
                     index = index * d + t
                 assert rows[i, j] == index
 
-    @pytest.mark.parametrize("build", [relabellings, permutation_matrices])
-    @pytest.mark.parametrize(
-        "perms, d", list(BAD_PERMUTATION_STACKS.values()), ids=list(BAD_PERMUTATION_STACKS)
-    )
+    @pytest.mark.parametrize("build, perms, d", BAD_STACK_CASES)
     def test_bad_stacks_are_refused(self, build, perms, d):
         with pytest.raises(DomainError):
             build(perms, d)
@@ -472,6 +486,24 @@ class TestQuantumBound:
         )
         vec = result.certificate
         assert np.linalg.norm(np.diag(diag) @ vec - result.value * vec) <= 1e-12
+
+    def test_one_length_reads_the_cached_count_table_without_a_copy(self):
+        # a copy of the 5.7 MB count table, or a cache of one, passes its size
+        g = two_face_witness(6)
+        table = composition_array(24, 6)
+        quantum_bound(g, 2)  # fill the small caches first: the block's
+        _falling_factorials(2, 24)  # and the falling factorials at s = 24
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            quantum_bound(g, 24)
+            gc.collect()
+            retained, peak = (x - start for x in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes
+        assert retained < 4096  # a few interpreter objects, no array
 
 
 class TestRhoFromExchangeable:

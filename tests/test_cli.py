@@ -719,10 +719,10 @@ class TestVerify:
     def test_no_dense_permutation_matrix_is_built(self, capsys, monkeypatch):
         from finex import boson
 
-        def refuse(perms, d):
-            raise AssertionError("verify built a dense permutation stack")
+        def refuse(perm, d):
+            raise AssertionError("verify built a dense permutation matrix")
 
-        monkeypatch.setattr(boson, "permutation_matrices", refuse)
+        monkeypatch.setattr(boson, "permutation_matrix", refuse)
         assert main(["verify", "--seed", "0"]) == 0
         assert capsys.readouterr().out.count("PASS") == 7
 

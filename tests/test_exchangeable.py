@@ -109,6 +109,11 @@ class TestFromSequenceProbs:
             f"not exchangeable: P{listed} = 1.0 but P{missing} = 0.0 (same orbit (20, 20))"
         )
 
+    def test_an_orbit_longer_than_the_recursion_limit_is_rejected(self):
+        listed = (0,) * 700 + (1,) * 700
+        with pytest.raises(ExchangeabilityError):
+            from_sequence_probs({listed: 1.0}, 2, 1400)
+
     def test_negative_probability_rejected(self):
         with pytest.raises(DomainError):
             from_sequence_probs({(0, 1): 1.5, (1, 0): -0.5}, 2, 2)

@@ -1,6 +1,7 @@
 """Count-vector enumeration, orbit sizes, and rank/unrank."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from finex.multiindex import (
     _binomials,
     composition_array,
     compositions,
+    iter_orbit_sequences,
     num_compositions,
     orbit_sequences,
     orbit_size,
@@ -164,6 +166,21 @@ def test_orbit_sizes_past_the_float_range_are_a_domain_error():
         orbit_sizes(1030, 2)
 
 
+def test_orbit_sizes_refuse_an_overflowing_length_before_any_factorial(monkeypatch):
+    def refuse(k):
+        raise AssertionError("orbit_sizes built a Python factorial")
+
+    monkeypatch.setattr(math, "factorial", refuse)
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as caught:
+        orbit_sizes(5000, 2)
+    assert time.perf_counter() - start < 0.1
+    assert str(caught.value) == (
+        "the orbit sizes of length-5000 sequences over d=2 overflow: "
+        "a multinomial exceeds the float range (about 1.8e308)"
+    )
+
+
 def test_scatter_by_rank():
     assert scatter_by_rank({(1, 1): 2.5, (0, 2): -1.0}, 2, 2).tolist() == [0.0, 2.5, -1.0]
     assert scatter_by_rank({}, 3, 2).tolist() == [0.0] * 4
@@ -189,3 +206,26 @@ def test_orbit_sequences():
     assert len(set(orbit)) == 6
     assert all(sequence_to_counts(seq, 3) == (1, 1, 1) for seq in orbit)
     assert orbit_sequences((2, 0)) == [(0, 0)]
+
+
+def recursive_orbit_sequences(n):
+    """The orderings of n, depth first by recursion: the order iter_orbit_sequences keeps."""
+    left = list(n)
+
+    def extend(prefix):
+        if not any(left):
+            yield prefix
+        for t, k in enumerate(left):
+            if k:
+                left[t] -= 1
+                yield from extend(prefix + (t,))
+                left[t] += 1
+
+    return extend(())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_orbit_walk_lists_the_recursive_order(d):
+    for r in range(7):
+        for n in compositions(r, d):
+            assert list(iter_orbit_sequences(n)) == list(recursive_orbit_sequences(n))
