@@ -111,10 +111,7 @@ class _Sweeps:
     the c rows of grouped.  starts holds each a, as a column.  segment
     picks, for each level position, its segment's row of an L x B array,
     and vertices is the level position of each segment's (0, ..., 0, s),
-    its constant-monomial row.  With one length these are the maps of that
-    length alone, and segment, vertices and grouped are slices, which
-    select without a copy: its one row of an L x B array broadcasts, its
-    vertex is first in level order and its rows are grouped already.
+    its constant-monomial row.  One length is a union of one.
     """
 
     order: np.ndarray
@@ -127,10 +124,10 @@ class _Sweeps:
     rows: tuple[slice, ...]
     starts: np.ndarray
     natural: np.ndarray
-    grouped: np.ndarray | slice
+    grouped: np.ndarray
     is_c: np.ndarray
-    segment: np.ndarray | slice
-    vertices: np.ndarray | slice
+    segment: np.ndarray
+    vertices: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -142,53 +139,40 @@ def _sweeps(d: int, *lengths: int) -> _Sweeps:
         raise SolverFailure(
             "cone LP normalization column has a non-positive entry", {"min_q": float(q.min())}
         )
-    offsets = [0]
-    for table in tables:
-        offsets.append(offsets[-1] + len(table))
+    offsets = [0, *accumulate(map(len, tables))]
     spans = tuple(zip(offsets, offsets[1:]))
-    counts = tables[0] if len(tables) == 1 else np.concatenate(tables)
-    n, many = len(counts), len(lengths)
-    order = np.argsort(-counts[:, -1], kind="stable")
+    last = np.concatenate([table[:, -1] for table in tables])  # n_d
+    n, many = len(last), len(lengths)
+    order = np.argsort(-last, kind="stable")
     position = np.empty(n + 1, dtype=np.intp)
     position[order] = np.arange(n)
     position[n] = n
-    levels = np.bincount(counts[:, -1], minlength=max(lengths) + 1)
+    levels = np.bincount(last, minlength=max(lengths) + 1)
     bounds = tuple(np.cumsum(levels[::-1])[::-1].tolist())
-    moves = []  # (n, i, n - e_i + e_d) for a ball on face i < d, by level position
-    for (a, b), s, table in zip(spans, lengths, tables):
-        moved, faces = np.nonzero(table[:, :-1])
-        shifted = table[moved, :-1]
-        shifted[np.arange(len(moved)), faces] -= 1
-        level = position[a:b]
-        moves.append((level[moved], faces, level[head_ranks(shifted, s)]))
-    moved, faces, targets = (np.concatenate(x) for x in zip(*moves)) if many > 1 else moves[0]
     up = np.full((d - 1, n), n, dtype=np.intp)
     down = up.copy()
-    up[faces, moved] = targets
-    down[faces, targets] = moved  # the move back, for every n with n_d >= 1
+    for (a, b), s, table in zip(spans, lengths, tables):
+        # (n, i, n - e_i + e_d) for a ball on face i < d, by level position
+        moved, faces = np.nonzero(table[:, :-1])
+        shifted = table[:, :-1].take(moved, axis=0)  # take: half the time of table[moved, :-1]
+        shifted[np.arange(len(moved)), faces] -= 1
+        level = position[a:b]
+        moved, targets = level[moved], level[head_ranks(shifted, s)]
+        up[faces, moved] = targets
+        down[faces, targets] = moved  # the move back, for every n with n_d >= 1
     q = q[order]
     rows = tuple([slice(a + l, b + l + 1) for l, (a, b) in enumerate(spans)])
-    is_c = np.zeros(n + many, dtype=bool)
-    for r in rows:
-        is_c[r.stop - 1] = True
     starts = np.array(offsets[:-1])[:, None]
-    indices = [order, position, up, down, q, is_c, starts]
-    # one length needs none of the union's maps (its rows are grouped already, and its row of
-    # an L x B array broadcasts).  bound and curve solve one length per call, verify several;
-    # building the union's maps for one length too made warm d=6 solves 4-8 % slower
-    if many == 1:
-        natural, segment, grouped, vertices = position, slice(None), slice(None), slice(0, 1)
-    else:
-        natural = np.empty(n + many, dtype=np.intp)
-        natural[is_c] = n + np.arange(many)
-        natural[~is_c] = position[:n]
-        segment = np.repeat(np.arange(many), [b - a for a, b in spans])[order]
-        grouped = natural.copy()  # the c rows stay; each length's u rows go in level order
-        for l, (a, b) in enumerate(spans):
-            grouped[a + l : b + l] = np.flatnonzero(segment == l)
-        vertices = position[[b - 1 for _, b in spans]]  # last in compositions order
-        indices += [natural, segment, grouped, vertices]
-    for x in indices:
+    segment = np.repeat(np.arange(many), [b - a for a, b in spans])[order]
+    by_segment = np.argsort(segment, kind="stable")  # each length's u rows in level order
+    natural, grouped = np.empty(n + many, dtype=np.intp), np.empty(n + many, dtype=np.intp)
+    for l, (a, b) in enumerate(spans):
+        natural[a + l : b + l] = position[a:b]
+        grouped[a + l : b + l] = by_segment[a:b]
+        natural[b + l] = grouped[b + l] = n + l
+    is_c = natural >= n
+    vertices = position[[b - 1 for _, b in spans]]  # last in compositions order
+    for x in (order, position, up, down, q, is_c, starts, natural, grouped, segment, vertices):
         x.setflags(write=False)
     return _Sweeps(
         order, position, bounds, up, down, q, spans, rows, starts, natural, grouped, is_c,
@@ -310,7 +294,7 @@ def _solve(d: int, b: np.ndarray, *lengths: int) -> list[tuple[np.ndarray, ...]]
     leaving = maps.position[first + maps.starts]
     c = ratios[leaving, columns]
     primal = np.empty((m + len(lengths), size))  # u, then c at each length
-    np.maximum(p - c[maps.segment] * q, 0.0, out=primal[:m])
+    np.maximum(p - c.take(maps.segment, axis=0) * q, 0.0, out=primal[:m])
     primal[leaving, columns] = 0.0
     primal[m:] = c
 
@@ -318,7 +302,7 @@ def _solve(d: int, b: np.ndarray, *lengths: int) -> list[tuple[np.ndarray, ...]]
     dual = np.zeros((m, size))
     dual[leaving, columns] = 1.0
     _sweep(maps, dual, np.add, transpose=True)
-    dual /= maps.q[leaving][maps.segment]
+    dual /= maps.q[leaving].take(maps.segment, axis=0)
 
     gap = primal.copy()
     gap[m:] = 0.0  # row m is the sentinel
@@ -334,7 +318,7 @@ def _solve(d: int, b: np.ndarray, *lengths: int) -> list[tuple[np.ndarray, ...]]
     reduced[m:] += 1.0  # objective - y A: the objective is c
 
     # each length's rows in its own level order, then its c row, as its own solve has them
-    gap, reduced, grouped = gap[maps.grouped], reduced[maps.grouped], primal[maps.grouped]
+    gap, reduced, grouped = (x.take(maps.grouped, axis=0) for x in (gap, reduced, primal))
     residuals = [
         certificate_residuals(gap[r.start : r.stop - 1], reduced[r], grouped[r], maps.is_c[r])
         for r in maps.rows

@@ -13,9 +13,8 @@ and the cone LP tests the classical/quantum equivalence instead of
 assuming it.
 
 boson_block caches two read-only tables per length, composition_array(s, d)
-and _falling_factorials(k, s), and nothing per call: a call at several
-lengths stacks their tables for itself, and one at a single length reads
-them in place.
+and _falling_factorials(k, s), and nothing per call: it reads each
+length's tables in place, one length after another.
 
 Dense tensor-space objects (symmetrizer, permutation matrices and their
 relabelling tables, dense density matrices) are capped at d**s <= 4096.
@@ -33,7 +32,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -279,42 +277,33 @@ def boson_block(block: PolynomialBlock, lengths) -> list[tuple[np.ndarray, np.nd
     falling-factorial product of each term is formed once and multiplies
     that term's row of coefficients, the terms summed in composition
     order, so each column reads bitwise what it reads alone.
-    The lengths are checked first (check_lengths); their occupation bases
-    are stacked into one diagonal, each length's rows divided by its own
-    s^(k falling) and minimized apart.  Returns one (values, rows) pair
-    per length, in the order given: each column's minimum and its
-    occupation state's row in compositions(s, d); the first minimum wins
-    ties.  The first length whose minimum overflows raises.
+    The lengths are checked first (check_lengths), then each is solved in
+    turn from its own cached tables, so a call holds one length's diagonal
+    at a time.  Returns one (values, rows) pair per length, in the order
+    given: each column's minimum and its occupation state's row in
+    compositions(s, d); the first minimum wins ties.  The first length
+    whose minimum overflows raises.
     """
     lengths = block.check_lengths(lengths)
-    counts = [composition_array(s, block.d) for s in lengths]
-    factorials = [_falling_factorials(block.degree, s) for s in lengths]
-    offsets = (0, *accumulate(map(len, counts)))
-    # keys[t, i]: the column of table that reads entry i of row t at its length
-    keys, table = counts[0], factorials[0]
-    if len(lengths) > 1:
-        starts = accumulate((s + 1 for s in lengths[:-1]), initial=0)
-        keys = np.concatenate([rows + start for rows, start in zip(counts, starts)])
-        table = np.concatenate(factorials, axis=1)
-    diagonal = np.zeros((len(keys), block.size))
     columns = np.arange(block.size)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        for m, c in zip(block.terms, block.coefficients):
-            product = None  # prod_i table[m_i, n_i] over the term's nonzero exponents
-            for i, e in enumerate(m):
-                if e:
-                    factor = table[e][keys[:, i]]
-                    product = factor if product is None else product * factor
-            diagonal += c if product is None else product[:, None] * c
-        for length, start, end in zip(lengths, offsets, offsets[1:]):
-            part = diagonal[start:end]
-            part /= table[block.degree, keys[end - 1, -1]]  # (0, ..., 0, s) reads s^(k falling)
-            rows = np.argmin(part, axis=0)  # first minimum wins: deterministic tie-break
-            values = part[rows, columns]
+        for s in lengths:
+            counts, table = composition_array(s, block.d), _falling_factorials(block.degree, s)
+            diagonal = np.zeros((len(counts), block.size))
+            for m, c in zip(block.terms, block.coefficients):
+                product = None  # prod_i table[m_i, n_i] over the term's nonzero exponents
+                for i, e in enumerate(m):
+                    if e:
+                        factor = table[e][counts[:, i]]
+                        product = factor if product is None else product * factor
+                diagonal += c if product is None else product[:, None] * c
+            diagonal /= table[block.degree, s]  # s^(k falling)
+            rows = np.argmin(diagonal, axis=0)  # first minimum wins: deterministic tie-break
+            values = diagonal[rows, columns]
             if not np.isfinite(values).all():  # argmin stops at a NaN, so this sees any but +inf
                 raise DomainError(
-                    f"the boson diagonal at length s={length} overflows: "
+                    f"the boson diagonal at length s={s} overflows: "
                     "an expectation exceeds the float range"
                 )
             out.append((values, rows))

@@ -52,7 +52,11 @@ _LIFT_BLOCK = 1 << 16  # (lift composition, term) products scattered per block
 
 @dataclass(frozen=True)
 class SimplexPolynomial:
-    """Homogeneous polynomial of fixed degree in d simplex variables."""
+    """Homogeneous polynomial of fixed degree in d simplex variables.
+
+    terms is kept in composition order (lex-descending count vectors),
+    whatever order it was given in.
+    """
 
     d: int
     degree: int
@@ -76,11 +80,12 @@ class SimplexPolynomial:
                 raise DomainError(f"term {n} has a non-finite coefficient {c}")
             if abs(c) >= _PRUNE:
                 cleaned[n] = cleaned.get(n, 0.0) + c
-        object.__setattr__(self, "terms", cleaned)
+        # composition order, so every sum over the terms adds them in one order
+        object.__setattr__(self, "terms", dict(sorted(cleaned.items(), reverse=True)))
 
     @classmethod
     def _checked(cls, d: int, degree: int, terms: dict, vector: np.ndarray):
-        """Wrap valid, finite, pruned terms and their coefficient_vector, without re-checking."""
+        """Wrap valid, finite, pruned terms in composition order, and their vector, unchecked."""
         g = object.__new__(cls)
         vector.setflags(write=False)
         g.__dict__.update(d=d, degree=degree, terms=terms, coefficient_vector=vector)
@@ -224,9 +229,7 @@ def _lift(block: PolynomialBlock, target_degree: int) -> np.ndarray:
         for start in range(0, len(weights), step):
             block_m = slice(start, start + step)
             keys = (lift_counts[block_m, None, :] + term_counts[None, :, :]).reshape(-1, d)
-            index = ranks(keys, target_degree)
-            if size > 1:
-                index = (index[:, None] * size + columns).ravel()
+            index = (ranks(keys, target_degree)[:, None] * size + columns).ravel()
             products = (weights[block_m, None, None] * coeffs[None, :, :]).ravel()
             np.add.at(values, index, products)
     if not np.isfinite(values).all():

@@ -11,6 +11,8 @@ run in-process through finex.cli.main:
   verify --seed 0..63, with and without --inject-perturbation;
   bound --method all on the lp_cone inputs of seeds 1, 2, 3, 5 and 7,
     as perfbench/workloads.py builds them;
+  on each of their psd-* inputs, curve at s = 2..7, then bound --method
+    all and curve at s = 2..7 on a copy with its JSON terms reversed;
   curve on the d=6 witness at s = 2..12;
   coin-demo.
 
@@ -39,6 +41,12 @@ import workloads  # noqa: E402  (perfbench/workloads.py, found through the path 
 from finex.cli import main  # noqa: E402
 
 LP_CONE_SEEDS = (1, 2, 3, 5, 7)
+CURVE = ["curve", "--observable", "{input}", "--s-min", "2", "--s-max", "7"]
+
+
+def _on(argv: list[str], name: str) -> list[str]:
+    """argv with its {input} placeholder replaced by the file name."""
+    return [name if word == "{input}" else word for word in argv]
 
 
 def commands() -> list[tuple[list[str], dict[str, dict]]]:
@@ -51,8 +59,15 @@ def commands() -> list[tuple[list[str], dict[str, dict]]]:
     for seed in LP_CONE_SEEDS:
         for job in workloads.lp_cone(seed):
             name = f"lp_cone-{seed}-{job['name']}.json"
-            argv = [name if word == "{input}" else word for word in job["argv"]]
-            out.append((argv, {name: workloads.polynomial_json(job["observable"])}))
+            files = {name: workloads.polynomial_json(job["observable"])}
+            out.append((_on(job["argv"], name), files))
+            if job["name"].startswith("psd-"):
+                # its terms come in composition order; the copy lists them backwards
+                copy = name.replace(".json", "-reversed.json")
+                backwards = {copy: {**files[name], "terms": files[name]["terms"][::-1]}}
+                out.append((_on(CURVE, name), files))
+                out.append((_on(job["argv"], copy), backwards))
+                out.append((_on(CURVE, copy), backwards))
     witness = {"d": 6, "terms": [
         {"counts": [2, 0, 0, 0, 0, 0], "coeff": 1.0},
         {"counts": [1, 1, 0, 0, 0, 0], "coeff": -1.0},

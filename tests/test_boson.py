@@ -17,6 +17,7 @@ from finex.boson import (
     _outcomes,
     _sequence_orbits,
     OccupationBasis,
+    boson_block,
     compress,
     compress_hermitian,
     occupation_diagonal,
@@ -44,6 +45,7 @@ from finex.multiindex import (
     sequences,
 )
 from finex.polynomial import (
+    PolynomialBlock,
     SimplexPolynomial,
     constant,
     homogenize,
@@ -504,6 +506,40 @@ class TestQuantumBound:
             tracemalloc.stop()
         assert peak < table.nbytes
         assert retained < 4096  # a few interpreter objects, no array
+
+    def test_several_lengths_hold_one_lengths_arrays_at_a_time(self):
+        # both count tables side by side, or a copy of the larger, pass its 5.7 MB
+        block = PolynomialBlock.of([two_face_witness(6)])
+        boson_block(block, (2,))  # fill the block's caches first, and each length's tables
+        for s in (23, 24):
+            composition_array(s, 6)
+            _falling_factorials(2, s)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            boson_block(block, (23, 24))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < composition_array(24, 6).nbytes
+
+    def test_one_call_across_the_falling_factorial_scale(self):
+        # s^(100 falling) passes e**700 from s = 1150 on, where every factor is divided by s;
+        # the oracle refuses s = 1200 (its orbit sizes pass the float range), so the route
+        # is held to its own one-length calls
+        assert _falling_factorials(100, 1000)[1, 1000] == 1000.0
+        assert _falling_factorials(100, 1200)[1, 1200] == 1.0
+        block = PolynomialBlock.of([
+            SimplexPolynomial(2, 100, {(100, 0): 1.0, (50, 50): -2.0}),
+            SimplexPolynomial(2, 100, {(70, 30): 3.0, (30, 70): -1.5, (0, 100): 0.5}),
+        ])
+        lengths = (1000, 1200)
+        for s, (values, rows) in zip(lengths, boson_block(block, lengths)):
+            [(single, single_rows)] = boson_block(block, (s,))
+            assert np.isfinite(values).all()
+            assert np.array_equal(values.view(np.int64), single.view(np.int64))
+            assert np.array_equal(rows, single_rows)
 
 
 class TestRhoFromExchangeable:

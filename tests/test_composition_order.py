@@ -38,6 +38,8 @@ from finex.multiindex import (
 )
 from finex.polynomial import (
     SimplexPolynomial,
+    evaluate,
+    gradient,
     homogenize,
     reduce_to_free_vars,
     two_face_witness,
@@ -289,3 +291,30 @@ def test_verify_dense_rows_match_the_per_permutation_loops(perturb, seeds):
         assert [r.hex() for r in residuals] == [
             r.hex() for r in reference_dense_rows(seed, perturb)
         ], f"seed {seed}"
+
+
+def shuffled_pairs():
+    """60 seeded observables over d = 3..5, degree 2 or 3, forward and in a shuffled term order.
+
+    Each comes with a Dirichlet point to evaluate it at.
+    """
+    rng = np.random.default_rng(5)
+    pairs = []
+    for _ in range(60):
+        d, degree = int(rng.integers(3, 6)), int(rng.integers(2, 4))
+        items = [(n, float(rng.uniform(-1, 1))) for n in compositions(degree, d)]
+        shuffled = dict(items[k] for k in rng.permutation(len(items)))
+        forward = SimplexPolynomial(d, degree, dict(items))
+        pairs.append((forward, SimplexPolynomial(d, degree, shuffled), rng.dirichlet(np.ones(d))))
+    return pairs
+
+
+def test_the_given_term_order_changes_no_sum():
+    # the terms are kept in composition order, so evaluate, gradient and the
+    # simplex minimum's grid and descent add them in one order however they came
+    for forward, shuffled, theta in shuffled_pairs():
+        degree = forward.degree
+        assert list(shuffled.terms) == list(forward.terms) == compositions(degree, forward.d)
+        assert bits(evaluate(shuffled, theta)) == bits(evaluate(forward, theta))
+        assert np.array_equal(bits(gradient(shuffled, theta)), bits(gradient(forward, theta)))
+        assert bits(boson.simplex_minimum(shuffled)) == bits(boson.simplex_minimum(forward))
