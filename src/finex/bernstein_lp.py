@@ -33,7 +33,8 @@ each column's certificate on its own; lower_bound_lp is a block of one.
 Its lengths are solved as one system too: their count vectors form one
 union, whose sweeps cover every length at once (_Sweeps), and each
 length's values, certificates and residuals come out bitwise as its own
-solve gives them."""
+solve gives them.  Each length's tables are checked in order before the
+union is built, so the first length that fails raises its own error."""
 
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from itertools import accumulate
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, DENSE_CAP
-from .errors import CapacityError, DomainError, SolverFailure
+from .errors import CapacityError, DomainError, FinexError, SolverFailure
 from .exchangeable import (
     BoundResult,
     oracle_bound,  # noqa: F401  kept under this name: perfbench/tracer.py wraps it here
@@ -135,10 +136,6 @@ def _sweeps(d: int, *lengths: int) -> _Sweeps:
     """Build the sweep maps of the cone LP over d at the lengths; cached, as they never change."""
     tables = [composition_array(s, d) for s in lengths]
     q = np.concatenate([orbit_sizes(s, d) for s in lengths])
-    if not np.all(q > 0.0):
-        raise SolverFailure(
-            "cone LP normalization column has a non-positive entry", {"min_q": float(q.min())}
-        )
     offsets = [0, *accumulate(map(len, tables))]
     spans = tuple(zip(offsets, offsets[1:]))
     last = np.concatenate([table[:, -1] for table in tables])  # n_d
@@ -349,16 +346,26 @@ def _column(residuals: dict, j: int) -> dict:
 def lp_block(block: PolynomialBlock, lengths) -> list[tuple[np.ndarray, np.ndarray]]:
     """LP route to the worst-case expectation over each length's sequences, for each column.
 
-    Builds every column's b at every length from its reduction and solves
+    Checks each length's tables in order (orbit_sizes builds them), then
+    builds every column's b at every length from its reduction and solves
     them as one system (see _solve); each column's certificate is
-    validated on its own at each length, and the first length, then
-    column, that fails raises.  It neither lifts nor consults another
-    route: comparing the routes is left to the commands that compute more
-    than one.  Returns one (values, rows) pair per length, in the order
-    given: each column's optimal value and its leaving row in
+    validated on its own at each length.  The first length, then column,
+    that fails raises: a length whose tables are refused raises only once
+    the lengths before it have solved.  It neither lifts nor consults
+    another route: comparing the routes is left to the commands that
+    compute more than one.  Returns one (values, rows) pair per length, in
+    the order given: each column's optimal value and its leaving row in
     compositions(s, d), the urn whose expectation the value is.
     """
-    b = _right_hand_sides(block, *lengths)  # checks the lengths
+    lengths = block.check_lengths(lengths)
+    for l, s in enumerate(lengths):
+        try:
+            orbit_sizes(s, block.d)
+        except FinexError:
+            if l:
+                lp_block(block, lengths[:l])  # an earlier length's error comes first
+            raise
+    b = _right_hand_sides(block, *lengths)
     return [(c, leaving) for c, _, _, _, leaving in _solve(block.d, b, *lengths)]
 
 

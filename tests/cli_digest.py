@@ -5,7 +5,15 @@ Run from the repository root:
     PYTHONPATH=src python tests/cli_digest.py > digests.txt
 
 Each line is the digest, then the command.  Two such files diffed show
-every command whose output or exit code a change altered.  The commands,
+every command whose output or exit code a change altered.  The current
+code's file is committed as tests/cli_digest.txt, and
+tests/test_cli_digest.py fails, naming each command, where this script
+prints otherwise.  A change that alters a command's output on purpose
+regenerates it,
+
+    PYTHONPATH=src python tests/cli_digest.py > tests/cli_digest.txt
+
+and lists the changed commands in CHANGES.md.  The commands,
 run in-process through finex.cli.main:
 
   verify --seed 0..63, with and without --inject-perturbation;

@@ -16,7 +16,7 @@ import pytest
 from finex.bernstein_lp import _right_hand_sides, _solve, lower_bound_lp, lp_block
 from finex.boson import boson_block, quantum_bound
 from finex.cli import main
-from finex.errors import DomainError, SolverFailure
+from finex.errors import CapacityError, DomainError, SolverFailure
 from finex.exchangeable import oracle_block, oracle_bound, urn_values
 from finex.multiindex import composition_array, compositions, unrank
 from finex.polynomial import (
@@ -305,7 +305,7 @@ class TestVerifyWithABadObservable:
         def install(g, index=7):
             def patched(rng):
                 out = real(rng)
-                out[index] = g
+                out[index] = (g.d, g.coefficient_vector)
                 return out
 
             monkeypatch.setattr(finex.cli, "_seeded_quadratics", patched)
@@ -464,13 +464,18 @@ class TestTheFirstFailingLength:
         assert single.diagnostics["primal"] > 1e-8
 
     def test_an_lp_overflow_names_its_length(self):
-        # it overflows at every length, so the first one given is named
+        # it overflows at every length, so the first one given is named, also
+        # before 2**60, whose tables are refused before any length is solved
         block = PolynomialBlock.of([*quadratics(2, 2, 5), LP_OVERFLOW])
-        for lengths in ((3, 2), (5, 3, 2)):
+        for lengths in ((3, 2), (5, 3, 2), (3, 2**60)):
             error, _ = same_error(
                 lambda: lp_block(block, lengths), lambda: lp_block(block, lengths[:1]), DomainError
             )
             assert f"cone LP at length s={lengths[0]} overflows" in str(error)
+        # given first, the refusal is the error
+        same_error(
+            lambda: lp_block(block, (2**60, 3)), lambda: lp_block(block, (2**60,)), CapacityError
+        )
 
     def test_the_oracle_names_the_first_length_whose_lift_overflows(self):
         block = PolynomialBlock.of([*quadratics(3, 2, 1), LIFT_OVERFLOW])

@@ -17,6 +17,7 @@ from finex.errors import SolverFailure
 from finex.exchangeable import from_sequence_probs, to_json as dist_to_json
 from finex.multiindex import (
     composition_array,
+    compositions,
     num_compositions,
     orbit_sizes,
     ranks,
@@ -546,7 +547,10 @@ class TestLiftMutant:
         assert found is not None
         assert lines[2].startswith("PASS")
         # recompute every spread by single calls: the named case is the first largest
-        observables = finex.cli._seeded_quadratics(np.random.default_rng(0))
+        observables = [
+            SimplexPolynomial(d, 2, dict(zip(compositions(2, d), vector.tolist())))
+            for d, vector in finex.cli._seeded_quadratics(np.random.default_rng(0))
+        ]
         spreads = {}
         for i, g in enumerate(observables):
             for s in range(2, 6):
