@@ -30,11 +30,12 @@ reduction, not its lift's ((sum theta)^(s-k) reduces to 1), a sweep at
 refuses past DENSE_CAP rows.  Since A is shared, lp_block solves a block
 of observables of one shape together, one column of b each, and validates
 each column's certificate on its own; lower_bound_lp is a block of one.
-Its lengths are solved as one system too: their count vectors form one
-union, whose sweeps cover every length at once (_Sweeps), and each
-length's values, certificates and residuals come out bitwise as its own
-solve gives them.  Each length's tables are checked in order before the
-union is built, so the first length that fails raises its own error."""
+Its lengths share the sweeps too: their count vectors form one union,
+which serves the sweeps alone (_Sweeps).  Each length's ratio test,
+certificate and residuals are read from its own rows, in compositions
+order, and come out bitwise as its own solve gives them.  Each length's
+tables are checked in order before the union is built, so the first
+length that fails raises its own error."""
 
 from __future__ import annotations
 
@@ -94,25 +95,17 @@ class ConeMembershipLP:
 class _Sweeps:
     """The index maps of the u-block's Horner sweeps at one or more lengths; read-only.
 
-    The lengths' count vectors form one union: compositions(s, d) of each
-    length in turn, segment l holding natural indices a to b, (a, b) =
-    spans[l].  Level order lists the union by n_d descending, stably, so
-    the count vectors with n_d >= k are the first bounds[k] positions, and
-    each segment keeps its own length's level order.  order[t] is the
-    natural index at level position t and position[i] the level position
-    of natural index i, with position[N] = N appended.  up[i, t] is the
-    level position of n - e_i + e_d for the n at t, down[i, t] that of
-    n + e_i - e_d, both in n's segment; either is N, a zero sentinel row,
-    off the simplex.  q is each length's orbit_sizes(s, d), in level order.
-
-    A primal or a reduced cost has the N rows of u, then one row of c per
-    length (N + l for segment l).  natural lists each segment's rows in
-    compositions order, grouped in level order, each followed by its c
-    row; in both, segment l is rows[l], a + l to b + l + 1, and is_c marks
-    the c rows of grouped.  starts holds each a, as a column.  segment
-    picks, for each level position, its segment's row of an L x B array,
-    and vertices is the level position of each segment's (0, ..., 0, s),
-    its constant-monomial row.  One length is a union of one.
+    The lengths' count vectors form one union, compositions(s, d) of each
+    length in turn, length l at indices a to b, (a, b) = spans[l].  The
+    union serves the sweeps alone.  Level order lists it by n_d
+    descending, stably, so the count vectors with n_d >= k are the first
+    bounds[k] positions.  order[t] is the index at level position t and
+    position[i] the level position of index i.  up[i, t] is the level
+    position of n - e_i + e_d for the n at t, down[i, t] that of
+    n + e_i - e_d, both at n's length; either is N, a zero sentinel row,
+    off the simplex.  Everything else is read per length from its own
+    span, in compositions order: q holds each length's orbit_sizes(s, d)
+    in turn.  One length is a union of one.
     """
 
     order: np.ndarray
@@ -120,30 +113,21 @@ class _Sweeps:
     bounds: tuple[int, ...]
     up: np.ndarray
     down: np.ndarray
-    q: np.ndarray
     spans: tuple[tuple[int, int], ...]
-    rows: tuple[slice, ...]
-    starts: np.ndarray
-    natural: np.ndarray
-    grouped: np.ndarray
-    is_c: np.ndarray
-    segment: np.ndarray
-    vertices: np.ndarray
+    q: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _sweeps(d: int, *lengths: int) -> _Sweeps:
     """Build the sweep maps of the cone LP over d at the lengths; cached, as they never change."""
     tables = [composition_array(s, d) for s in lengths]
-    q = np.concatenate([orbit_sizes(s, d) for s in lengths])
     offsets = [0, *accumulate(map(len, tables))]
     spans = tuple(zip(offsets, offsets[1:]))
     last = np.concatenate([table[:, -1] for table in tables])  # n_d
-    n, many = len(last), len(lengths)
+    n = len(last)
     order = np.argsort(-last, kind="stable")
-    position = np.empty(n + 1, dtype=np.intp)
+    position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
-    position[n] = n
     levels = np.bincount(last, minlength=max(lengths) + 1)
     bounds = tuple(np.cumsum(levels[::-1])[::-1].tolist())
     up = np.full((d - 1, n), n, dtype=np.intp)
@@ -157,24 +141,10 @@ def _sweeps(d: int, *lengths: int) -> _Sweeps:
         moved, targets = level[moved], level[head_ranks(shifted, s)]
         up[faces, moved] = targets
         down[faces, targets] = moved  # the move back, for every n with n_d >= 1
-    q = q[order]
-    rows = tuple([slice(a + l, b + l + 1) for l, (a, b) in enumerate(spans)])
-    starts = np.array(offsets[:-1])[:, None]
-    segment = np.repeat(np.arange(many), [b - a for a, b in spans])[order]
-    by_segment = np.argsort(segment, kind="stable")  # each length's u rows in level order
-    natural, grouped = np.empty(n + many, dtype=np.intp), np.empty(n + many, dtype=np.intp)
-    for l, (a, b) in enumerate(spans):
-        natural[a + l : b + l] = position[a:b]
-        grouped[a + l : b + l] = by_segment[a:b]
-        natural[b + l] = grouped[b + l] = n + l
-    is_c = natural >= n
-    vertices = position[[b - 1 for _, b in spans]]  # last in compositions order
-    for x in (order, position, up, down, q, is_c, starts, natural, grouped, segment, vertices):
+    q = np.concatenate([orbit_sizes(s, d) for s in lengths])
+    for x in (order, position, up, down, q):
         x.setflags(write=False)
-    return _Sweeps(
-        order, position, bounds, up, down, q, spans, rows, starts, natural, grouped, is_c,
-        segment, vertices,
-    )
+    return _Sweeps(order, position, bounds, up, down, spans, q)
 
 
 def _sweep(maps: _Sweeps, x: np.ndarray, combine, transpose: bool = False) -> np.ndarray:
@@ -197,6 +167,13 @@ def _sweep(maps: _Sweeps, x: np.ndarray, combine, transpose: bool = False) -> np
         head = x[:m]  # np.add.reduce is ndarray.sum without its Python wrapper
         combine(head, np.add.reduce(x.take(neighbours[:, :m], axis=0), axis=0), out=head)
     return x
+
+
+def _swept(maps: _Sweeps, x: np.ndarray, combine, transpose: bool = False) -> np.ndarray:
+    """_sweep on a copy of x (N x B, in compositions order), in compositions order again."""
+    levelled = np.zeros((len(x) + 1, x.shape[1]))  # x in level order, then the zero sentinel row
+    levelled[:-1] = x.take(maps.order, axis=0)  # take's out= is buffered: twice the time
+    return _sweep(maps, levelled, combine, transpose).take(maps.position, axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -224,12 +201,8 @@ def _right_hand_sides(block: PolynomialBlock, *lengths: int) -> np.ndarray:
     """
     block.check_lengths(lengths)
     d, k = block.d, block.degree
-    maps, x = _sweeps(d, k), block.coefficient_matrix
-    reduced = np.zeros((len(x) + 1, block.size))
-    np.take(x, maps.order, axis=0, out=reduced[:-1])
-    _sweep(maps, reduced, np.subtract)
+    reduced = _swept(_sweeps(d, k), block.coefficient_matrix, np.subtract)
     reduced[np.abs(reduced) < _PRUNE] = 0.0
-    reduced = reduced.take(maps.position[:-1], axis=0)
     sizes = [table_rows(s, d) for s in lengths]
     b = np.zeros((sum(sizes), block.size))
     for s, end, size in zip(lengths, accumulate(sizes), sizes):
@@ -253,89 +226,77 @@ def assemble(g: SimplexPolynomial, s: int) -> ConeMembershipLP:
 def _solve(d: int, b: np.ndarray, *lengths: int) -> list[tuple[np.ndarray, ...]]:
     """Optimal primal/dual pair of each column of b from the u-block basis B and one pivot.
 
-    b holds each length's rows in turn (_right_hand_sides).  Every product
-    with B, B^-1 or a transpose is a sweep over all the lengths at once, in
-    level order (_Sweeps): b is permuted in and the primal and dual out
-    once.  A sweep's steps past a length s touch only its vertex
-    (0, ..., 0, s), whose neighbours are all the zero sentinel, so each
-    entry sees the additions of its own length's solve, in the same order,
-    and comes out bitwise the same.  With B basic, u = p - c q for
-    p = B^-1 b and q = B^-1 e_0 (e_0 is c's column), the multinomial
-    coefficients of (sum theta)^s, all positive.  Entering c, the ratio
-    test makes the column with the smallest p_j / q_j leave, the first in
-    compositions(s, d) order on a tie, at each length.  The dual
-    B^T y = e_j / q_j is row j of B^-1 over q_j; it gives every u column a
-    reduced cost <= 0 and c exactly 0, so the pivot is optimal.  Each
-    column's pair at each length is validated like any other certificate;
-    A x and y A are summed before b and the objective are subtracted
-    (subtracting b first misses the 1e-8 primal contract on coefficients
-    from 1e-6 to 1e12).  The first length, then the first column there,
-    outside DEFAULT_TOLERANCES raises DomainError if a residual
-    overflowed, else SolverFailure with its residuals.  Returns, per
-    length, (optimal values, primals, duals, residuals, leaving), one
-    column (one entry of each residual array and of leaving, a natural
-    index) per column of b.
+    b holds each length's rows in turn, in compositions order
+    (_right_hand_sides).  Every product with B, B^-1 or a transpose is one
+    sweep over the union of the lengths (_swept), which moves its input
+    into level order and its result back.  A sweep's steps past a length s
+    touch only its vertex (0, ..., 0, s), whose neighbours are all the zero
+    sentinel, so each entry sees the additions of its own length's solve,
+    in the same order, and comes out bitwise the same.  All else is read
+    per length from its own span of rows, in compositions order.  With B
+    basic, u = p - c q for p = B^-1 b and q = B^-1 e_0 (e_0 is c's column,
+    the unit vector of the constant monomial, the span's last row), the
+    multinomial coefficients of (sum theta)^s, all positive.  Entering c,
+    the ratio test makes the column with the smallest p_j / q_j leave, the
+    first in compositions(s, d) order on a tie.  The dual B^T y = e_j / q_j
+    is row j of B^-1 over q_j; it gives every u column a reduced cost <= 0
+    and c exactly 0, so the pivot is optimal.  Each column's pair [u; c], y
+    at each length is validated like any other certificate; A x and y A
+    are summed before b and the objective are subtracted (subtracting b
+    first misses the 1e-8 primal contract on coefficients from 1e-6 to
+    1e12).  The first length, then the first column there, outside
+    DEFAULT_TOLERANCES raises DomainError if a residual overflowed, else
+    SolverFailure with its residuals.  Returns, per length, (optimal
+    values, primals [u; c], duals, residuals, leaving), one column (one
+    entry of each residual array and of leaving, a row of compositions(s,
+    d)) per column of b.
     """
     maps = _sweeps(d, *lengths)
     q = maps.q[:, None]
-    m, size = b.shape
-    columns = np.arange(size)
-    levelled = np.zeros((m + 1, size))  # b in level order, then the zero sentinel row
-    np.take(b, maps.order, axis=0, out=levelled[:m])
-    p = _sweep(maps, levelled.copy(), np.add)[:m]
-
+    columns = np.arange(b.shape[1])
+    starts, ends = np.array(maps.spans).T
+    sizes, vertices = ends - starts, ends - 1  # a vertex (0, ..., 0, s) is its length's last row
+    p = _swept(maps, b, np.add)
     ratios = p / q
     # the ratio test in each length's compositions order, where the first minimum wins a tie
-    in_order = ratios.take(maps.position[:m], axis=0)
-    first = np.array([in_order[a:b].argmin(axis=0) for a, b in maps.spans])
-    leaving = maps.position[first + maps.starts]
+    first = np.array([ratios[a:e].argmin(axis=0) for a, e in maps.spans])
+    leaving = first + starts[:, None]
     c = ratios[leaving, columns]
-    primal = np.empty((m + len(lengths), size))  # u, then c at each length
-    np.maximum(p - c.take(maps.segment, axis=0) * q, 0.0, out=primal[:m])
-    primal[leaving, columns] = 0.0
-    primal[m:] = c
+    u = np.maximum(p - c.repeat(sizes, axis=0) * q, 0.0)
+    u[leaving, columns] = 0.0
 
     # the dual of column j is row leaving[j] of B^-1 over q[leaving[j]]
-    dual = np.zeros((m, size))
+    dual = np.zeros(p.shape)
     dual[leaving, columns] = 1.0
-    _sweep(maps, dual, np.add, transpose=True)
-    dual /= maps.q[leaving].take(maps.segment, axis=0)
-
-    gap = primal.copy()
-    gap[m:] = 0.0  # row m is the sentinel
-    _sweep(maps, gap, np.subtract)
-    gap[maps.vertices] += c  # c's column is the constant-monomial row's unit vector
-    gap[:m] -= levelled[:m]  # A x - b
-    # y A: B^T y, then y's constant-monomial entry for c's column
-    ya = np.empty((m + len(lengths), size))
-    ya[:m] = dual
-    _sweep(maps, ya, np.subtract, transpose=True)
-    ya[m:] = dual[maps.vertices]
-    reduced = -ya
-    reduced[m:] += 1.0  # objective - y A: the objective is c
-
-    # each length's rows in its own level order, then its c row, as its own solve has them
-    gap, reduced, grouped = (x.take(maps.grouped, axis=0) for x in (gap, reduced, primal))
-    residuals = [
-        certificate_residuals(gap[r.start : r.stop - 1], reduced[r], grouped[r], maps.is_c[r])
-        for r in maps.rows
-    ]
+    dual = _swept(maps, dual, np.add, transpose=True)
+    dual /= maps.q[leaving].repeat(sizes, axis=0)
+    gap = _swept(maps, u, np.subtract)  # B u
+    gap[vertices] += c  # c's column is the unit vector of each length's constant monomial
+    gap -= b  # A x - b
+    reduced = -_swept(maps, dual, np.subtract, transpose=True)  # objective - y A on u
+    costs = 1.0 - dual[vertices]  # and on c, whose column is the vertex's unit vector
+    free = np.zeros(len(p) + 1, dtype=bool)
+    free[-1] = True  # c's row, last: each length reads the mask's tail
+    solved = []
+    for l, (a, e) in enumerate(maps.spans):
+        primal = np.concatenate([u[a:e], c[l : l + 1]])
+        residuals = certificate_residuals(
+            gap[a:e], np.concatenate([reduced[a:e], costs[l : l + 1]]), primal, free[a - e - 1 :]
+        )
+        solved.append((c[l], primal, dual[a:e], residuals, first[l]))
     # the first failing length, then column
-    failed = np.flatnonzero(~np.concatenate([within_tolerances(r) for r in residuals]))
+    every = {key: np.concatenate([x[3][key] for x in solved]) for key in solved[0][3]}
+    failed = np.flatnonzero(~within_tolerances(every))
     if len(failed):
-        l, j = divmod(int(failed[0]), size)
-        column = _column(residuals[l], j)
+        l, j = divmod(int(failed[0]), len(columns))
+        column = _column(solved[l][3], j)
         if not np.isfinite(list(column.values())).all():
             raise DomainError(
                 f"the cone LP at length s={lengths[l]} overflows: "
                 "its certificate exceeds the float range"
             )
         raise SolverFailure(f"cone LP validation failed: residuals {column}", column)
-    primal, dual = primal.take(maps.natural, axis=0), dual.take(maps.position[:m], axis=0)
-    return [
-        (c[l], primal[r], dual[a:b], residuals[l], first[l])
-        for l, (r, (a, b)) in enumerate(zip(maps.rows, maps.spans))
-    ]
+    return solved
 
 
 def _column(residuals: dict, j: int) -> dict:
@@ -348,7 +309,9 @@ def lp_block(block: PolynomialBlock, lengths) -> list[tuple[np.ndarray, np.ndarr
 
     Checks each length's tables in order (orbit_sizes builds them), then
     builds every column's b at every length from its reduction and solves
-    them as one system (see _solve); each column's certificate is
+    them in one set of sweeps over the union of the lengths (see _solve).
+    Each length's ratio test, certificate and residuals are read from its
+    own rows, in compositions order, and each column's certificate is
     validated on its own at each length.  The first length, then column,
     that fails raises: a length whose tables are refused raises only once
     the lengths before it have solved.  It neither lifts nor consults
@@ -417,9 +380,9 @@ def dump(cone_lp: ConeMembershipLP) -> str:
         "objective: maximize c",
     ]
     for rows in np.split(np.arange(m), range(64, m, 64)):
-        x = np.zeros((m + 1, len(rows)))
-        x[maps.position[rows], np.arange(len(rows))] = 1.0
-        block = _sweep(maps, x, np.subtract, transpose=True).take(maps.position[:m], axis=0)
+        x = np.zeros((m, len(rows)))
+        x[rows, np.arange(len(rows))] = 1.0
+        block = _swept(maps, x, np.subtract, transpose=True)
         for i, row in zip(rows.tolist(), block.T):
             nonzero = np.flatnonzero(row)
             parts = [f"{v:+g}{columns[j]}" for j, v in zip(nonzero.tolist(), row[nonzero].tolist())]

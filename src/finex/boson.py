@@ -84,7 +84,7 @@ def _check_dense(s: int, d: int, order: np.ndarray | None = None) -> int:
 
 @lru_cache(maxsize=None)
 def _outcomes(s: int, d: int) -> np.ndarray:
-    """outcomes[i, j] is draw i of sequences(s, d)[j], the row-major tensor basis.
+    """outcomes[i, j] is draw i of sequence j of the d**s, the row-major tensor basis.
 
     Read-only; callers run _check_dense first.
     """
@@ -95,7 +95,7 @@ def _outcomes(s: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _sequence_orbits(s: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank and orbit size of each sequence's count vector, over sequences(s, d).
+    """Rank and orbit size of each sequence's count vector, over the d**s in row-major order.
 
     Read-only; callers run _check_dense first.
     """

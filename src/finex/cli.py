@@ -643,7 +643,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (DomainError, FinexError) as exc:
+    except FinexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MemoryError, RecursionError) as exc:

@@ -378,16 +378,6 @@ def unrank(k: int, r: int, d: int) -> CountVector:
     return tuple(out)
 
 
-def sequences(r: int, d: int) -> list[Sequence]:
-    """All d**r ordered sequences of length r, in row-major order."""
-    if d < 1:
-        raise DomainError("d must be >= 1")
-    out: list[Sequence] = [()]
-    for _ in range(r):
-        out = [seq + (t,) for seq in out for t in range(d)]
-    return out
-
-
 def iter_orbit_sequences(n: CountVector) -> Iterator[Sequence]:
     """The distinct orderings of the multiset described by n, lazily, in lexicographic order.
 
@@ -408,8 +398,3 @@ def iter_orbit_sequences(n: CountVector) -> Iterator[Sequence]:
             seq[i + 1 :] = seq[:i:-1]
 
     return walk()
-
-
-def orbit_sequences(n: CountVector) -> list[Sequence]:
-    """All distinct orderings of the multiset described by n."""
-    return list(iter_orbit_sequences(n))

@@ -98,9 +98,6 @@ class SimplexPolynomial:
         out.setflags(write=False)
         return out
 
-    def coefficient(self, n: CountVector) -> float:
-        return self.terms.get(tuple(n), 0.0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplexPolynomial):
             return NotImplemented

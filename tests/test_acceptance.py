@@ -23,7 +23,7 @@ from finex.boson import (
     witness_value,
 )
 from finex.exchangeable import from_sequence_probs, oracle_bound
-from finex.multiindex import compositions, orbit_sequences, sequence_to_counts
+from finex.multiindex import compositions, iter_orbit_sequences, sequence_to_counts
 from finex.polynomial import (
     evaluate,
     two_face_witness,
@@ -43,7 +43,7 @@ def brute_force_bound(g, s):
     obs = to_diagonal_observable(g)
     best = None
     for n in compositions(s, g.d):
-        orderings = orbit_sequences(n)
+        orderings = list(iter_orbit_sequences(n))
         value = sum(
             obs.value(sequence_to_counts(seq[: g.degree], g.d)) for seq in orderings
         ) / len(orderings)

@@ -376,9 +376,10 @@ def test_the_agreement_check_makes_two_block_calls_per_route(monkeypatch):
 
 
 def length_tuples(degree):
-    # the lengths 2..5 that the degree allows, and a non-contiguous pair that
-    # ends at the degree itself (s = 0 for a constant: a sweep of no steps)
-    return [tuple(range(max(degree, 2), 6)), (5, degree)]
+    # the lengths 2..5 that the degree allows, a non-contiguous pair that
+    # ends at the degree itself (s = 0 for a constant: a sweep of no steps),
+    # and that pair with 5 again: two spans of one length, out of order
+    return [tuple(range(max(degree, 2), 6)), (5, degree), (5, degree, 5)]
 
 
 MULTI = [(columns, lengths) for columns, _ in BLOCKS for lengths in length_tuples(columns[0].degree)]

@@ -5,7 +5,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -42,7 +42,6 @@ from finex.multiindex import (
     num_compositions,
     orbit_size,
     sequence_to_counts,
-    sequences,
 )
 from finex.polynomial import (
     PolynomialBlock,
@@ -75,7 +74,7 @@ def sequence_index(seq, d):
 def dense_diagonal_observable(obs):
     """Literal d**s diagonal matrix, one entry per sequence."""
     entries = [
-        obs.value(sequence_to_counts(seq, obs.d)) for seq in sequences(obs.s, obs.d)
+        obs.value(sequence_to_counts(seq, obs.d)) for seq in product(range(obs.d), repeat=obs.s)
     ]
     return np.diag(np.array(entries, dtype=complex))
 
@@ -168,7 +167,7 @@ class TestPermutationMatrix:
     def test_relabels_tensor_factors(self):
         perm = (2, 0, 1)
         p = permutation_matrix(perm, 3)
-        for seq in sequences(3, 3):
+        for seq in product(range(3), repeat=3):
             e = np.zeros(27)
             e[sequence_index(seq, 3)] = 1.0
             permuted = tuple(seq[perm[i]] for i in range(3))
@@ -278,7 +277,7 @@ class TestRelabellings:
         perms = list(permutations(range(s)))
         rows = relabellings(perms, d)
         for i, perm in enumerate(perms):
-            for j, seq in enumerate(sequences(s, d)):
+            for j, seq in enumerate(product(range(d), repeat=s)):
                 index = 0
                 for t in (seq[perm[a]] for a in range(s)):
                     index = index * d + t
@@ -576,7 +575,7 @@ class TestRhoFromExchangeable:
 
             dist = ExchangeableDistribution(d, s, dist_probs)
             dense = rho_from_exchangeable(dist).dense()
-            for i, seq in enumerate(sequences(s, d)):
+            for i, seq in enumerate(product(range(d), repeat=s)):
                 assert dense[i, i].real == pytest.approx(
                     dist.sequence_probability(seq), abs=1e-12
                 )

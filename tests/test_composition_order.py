@@ -12,7 +12,7 @@ minimum, which comes from falling factorials and not from the lift, to
 4 units in the last place of the largest urn value.
 """
 
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 import numpy as np
 import pytest
@@ -34,7 +34,6 @@ from finex.multiindex import (
     orbit_size,
     rank,
     sequence_to_counts,
-    sequences,
 )
 from finex.polynomial import (
     SimplexPolynomial,
@@ -162,14 +161,14 @@ def test_lp_b_matches_the_enumeration_position(g, s):
 
 def reference_isometry(d, s):
     v = np.zeros((d**s, len(compositions(s, d))))
-    for i, seq in enumerate(sequences(s, d)):
+    for i, seq in enumerate(product(range(d), repeat=s)):
         n = sequence_to_counts(seq, d)
         v[i, rank(n)] = 1.0 / np.sqrt(orbit_size(n))
     return v
 
 
 def reference_dense(rho):
-    seqs = sequences(rho.basis.s, rho.basis.d)
+    seqs = list(product(range(rho.basis.d), repeat=rho.basis.s))
     counts = [sequence_to_counts(seq, rho.basis.d) for seq in seqs]
     idx = np.array([rank(n) for n in counts])
     orb = np.array([orbit_size(n) for n in counts], dtype=float)
@@ -177,7 +176,7 @@ def reference_dense(rho):
 
 
 def reference_symmetrizer(s, d):
-    seqs = sequences(s, d)
+    seqs = list(product(range(d), repeat=s))
     pi = np.zeros((len(seqs), len(seqs)))
     for a, x in enumerate(seqs):
         for b, y in enumerate(seqs):
@@ -188,7 +187,7 @@ def reference_symmetrizer(s, d):
 
 
 def reference_permutation_matrix(perm, d):
-    seqs = sequences(len(perm), d)
+    seqs = list(product(range(d), repeat=len(perm)))
     p = np.zeros((len(seqs), len(seqs)))
     for col, seq in enumerate(seqs):
         p[seqs.index(tuple(seq[i] for i in perm)), col] = 1.0

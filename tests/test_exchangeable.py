@@ -28,7 +28,7 @@ from finex.exchangeable import (
 )
 from finex.multiindex import (
     compositions,
-    orbit_sequences,
+    iter_orbit_sequences,
     sequence_to_counts,
 )
 from finex.polynomial import (
@@ -43,7 +43,7 @@ from finex.polynomial import (
 def brute_marginal_orbits(n, r):
     """Histogram of count vectors of the first r draws over all orderings of n."""
     d = len(n)
-    orderings = orbit_sequences(n)
+    orderings = list(iter_orbit_sequences(n))
     out = {}
     for seq in orderings:
         m = sequence_to_counts(seq[:r], d)
@@ -54,7 +54,7 @@ def brute_marginal_orbits(n, r):
 def brute_urn_expectation(n, g):
     """E[D(first r draws)] under the urn n, averaging over every ordering."""
     obs = to_diagonal_observable(g)
-    orderings = orbit_sequences(n)
+    orderings = list(iter_orbit_sequences(n))
     return sum(
         obs.value(sequence_to_counts(seq[: g.degree], len(n))) for seq in orderings
     ) / len(orderings)
@@ -137,7 +137,7 @@ class TestUrnDistribution:
 
     def test_three_distinct_faces(self):
         dist = urn_distribution((1, 1, 1, 0, 0, 0))
-        for seq in orbit_sequences((1, 1, 1, 0, 0, 0)):
+        for seq in iter_orbit_sequences((1, 1, 1, 0, 0, 0)):
             assert dist.sequence_probability(seq) == pytest.approx(1.0 / 6.0)
 
     def test_empty_urn_rejected(self):

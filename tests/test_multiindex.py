@@ -2,6 +2,7 @@
 
 import math
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,14 +14,12 @@ from finex.multiindex import (
     compositions,
     iter_orbit_sequences,
     num_compositions,
-    orbit_sequences,
     orbit_size,
     orbit_sizes,
     rank,
     ranks,
     scatter_by_rank,
     sequence_to_counts,
-    sequences,
     unrank,
 )
 
@@ -194,18 +193,17 @@ def test_unrank_out_of_range():
 
 
 def test_sequences_and_index():
-    seqs = sequences(2, 2)
-    assert seqs == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for i, seq in enumerate(sequences(3, 3)):
+    # the row-major order the tests enumerate sequences in
+    for i, seq in enumerate(product(range(3), repeat=3)):
         assert np.ravel_multi_index(seq, (3, 3, 3)) == i
 
 
 def test_orbit_sequences():
-    orbit = orbit_sequences((1, 1, 1))
+    orbit = list(iter_orbit_sequences((1, 1, 1)))
     assert len(orbit) == 6
     assert len(set(orbit)) == 6
     assert all(sequence_to_counts(seq, 3) == (1, 1, 1) for seq in orbit)
-    assert orbit_sequences((2, 0)) == [(0, 0)]
+    assert list(iter_orbit_sequences((2, 0))) == [(0, 0)]
 
 
 def recursive_orbit_sequences(n):

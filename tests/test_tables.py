@@ -164,7 +164,7 @@ def test_structure_matches_the_column_stack_build(d, s):
     back = swept(d, s, swept(d, s, x.astype(float)), inverse=True)
     assert np.array_equal(back, x)
     maps = _sweeps(d, s)
-    assert_bitwise(maps.q, reference_orbit_sizes(s, d)[maps.order])
+    assert_bitwise(maps.q, reference_orbit_sizes(s, d))  # compositions order
 
 
 @pytest.mark.parametrize("d, k, s", [(1, 0, 3), (2, 2, 5), (3, 3, 3), (6, 2, 8)])
